@@ -18,9 +18,9 @@
 //!   clones one `Vec<Node>` per answer;
 //! * **streaming** — `Engine::for_each_answer`, the visitor API that reuses
 //!   one tuple buffer and allocates nothing per answer;
-//! * **parallel** — `Engine::par_for_each_answer`, the sharded path that
-//!   splits every clause's top-level list across the `lowdeg-par` pool
-//!   (`LOWDEG_THREADS`) and drains the shards in serial answer order.
+//! * **parallel** — `Engine::par_for_each_answer`, which cuts the
+//!   clauses' concatenated top-level lists into tasks on the `lowdeg-par`
+//!   pool (`LOWDEG_THREADS`) and streams them back in serial answer order.
 //!
 //! All fold the answer components into a checksum through
 //! `std::hint::black_box`, so no loop can be optimized away and all pay the

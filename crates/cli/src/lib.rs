@@ -88,9 +88,9 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
             let db = load(rest.first().ok_or_else(usage)?)?;
             let q = query(&db, rest.get(1).ok_or_else(usage)?)?;
             let engine = build(&db, &q)?;
-            // the same pool drives the sharded recount; on a serial pool
-            // this is the precomputed count
-            writeln!(out, "{}", engine.par_count(&par)).map_err(w)?;
+            // Theorem 2.5: the count is computed during the build, so
+            // printing it costs O(1) whatever the thread count
+            writeln!(out, "{}", engine.count()).map_err(w)?;
             Ok(())
         }
         "test" => {
@@ -120,10 +120,11 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                 None => usize::MAX,
             };
             let engine = build(&db, &q)?;
-            // both formats stream through the sharded parallel visitor —
-            // the pool from --threads / LOWDEG_THREADS produces answers in
-            // the serial order, so the output is thread-count-invariant;
-            // a serial pool falls back to the delay-accounted visitor
+            // both formats stream through the parallel visitor — the pool
+            // from --threads / LOWDEG_THREADS produces answers in the
+            // serial order, so the output is thread-count-invariant, and
+            // stopping at the limit stops the workers; a serial pool falls
+            // back to the delay-accounted visitor
             match format {
                 OutputFormat::Tsv => {
                     let mut emitted = 0usize;
@@ -146,7 +147,8 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                     writeln!(out, "# {emitted} answers").map_err(w)?;
                 }
                 OutputFormat::Ndjson => {
-                    // one reused line buffer, answers printed as produced
+                    // one reused line buffer; each answer is printed as
+                    // soon as the stream hands it over
                     use std::fmt::Write as _;
                     let mut emitted = 0usize;
                     let mut line = String::new();
@@ -439,8 +441,8 @@ pub fn usage() -> String {
   lowdeg generate     <n> <degree> <seed> [path]
   lowdeg import-edges <edge-list> [path]
 options: --eps <x>       pseudo-linearity parameter (default 0.25)
-         --threads <n>   worker threads for preprocessing AND the sharded
-                         enumerate/count answer paths; 0 = auto, 1 = serial
+         --threads <n>   worker threads for preprocessing AND the parallel
+                         enumerate answer path; 0 = auto, 1 = serial
                          (default: LOWDEG_THREADS, else auto). Answer order
                          is identical at every thread count
          --format <f>    enumerate output: tsv (default) or ndjson, the
@@ -459,11 +461,38 @@ mod tests {
         Ok(String::from_utf8(out).expect("utf8 output"))
     }
 
-    fn temp_db() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("lowdeg_cli_test_{}.db", std::process::id()));
+    /// A file in the temp directory, unique to one call (tests run in
+    /// parallel), removed when dropped.
+    struct TempFile(std::path::PathBuf);
+
+    impl TempFile {
+        fn new(stem: &str, ext: &str, text: &str) -> TempFile {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let id = NEXT.fetch_add(1, Ordering::Relaxed);
+            let name = format!("{stem}_{}_{id}.{ext}", std::process::id());
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, text).expect("temp writable");
+            TempFile(path)
+        }
+    }
+
+    impl std::ops::Deref for TempFile {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    fn temp_db() -> TempFile {
         let text = "domain 5\nrel E 2\nrel B 1\nrel R 1\nE 0 1\nE 1 0\nB 0\nB 2\nR 1\nR 3\n";
-        std::fs::write(&path, text).expect("temp writable");
-        path
+        TempFile::new("lowdeg_cli_test", "db", text)
     }
 
     #[test]
@@ -529,9 +558,7 @@ mod tests {
 
     #[test]
     fn import_edges_roundtrip() {
-        let path =
-            std::env::temp_dir().join(format!("lowdeg_cli_edges_{}.txt", std::process::id()));
-        std::fs::write(&path, "0 1\n1 2\n").unwrap();
+        let path = TempFile::new("lowdeg_cli_edges", "txt", "0 1\n1 2\n");
         let out = run_str(&["import-edges", path.to_str().unwrap()]).unwrap();
         let s = parse_structure(&out).unwrap();
         assert_eq!(s.cardinality(), 3);
@@ -561,7 +588,7 @@ mod tests {
 
     #[test]
     fn threads_do_not_change_enumeration_output() {
-        // the sharded answer path drains slices in serial order, so every
+        // the parallel answer path streams tasks in serial order, so every
         // thread count prints byte-identical rows — both formats
         let db = temp_db();
         let q = "B(x) & R(y) & !E(x, y)";
@@ -652,18 +679,16 @@ mod tests {
     #[test]
     fn workload_command_groups_variants() {
         let db = temp_db();
-        let qfile =
-            std::env::temp_dir().join(format!("lowdeg_cli_workload_{}.txt", std::process::id()));
-        std::fs::write(
-            &qfile,
+        let qfile = TempFile::new(
+            "lowdeg_cli_workload",
+            "txt",
             "# rewrite variants of one query, then a distinct one\n\
              B(x) & R(y) & !E(x, y)\n\
              B(x) & !E(x, y) & R(y)\n\
              \n\
              B(x) & !!R(y) & !E(x, y)\n\
              R(x) & B(y) & !E(x, y)\n",
-        )
-        .unwrap();
+        );
         let out = run_str(&["workload", db.to_str().unwrap(), qfile.to_str().unwrap()]).unwrap();
         let rows: Vec<&str> = out.lines().filter(|l| !l.starts_with('#')).collect();
         assert_eq!(rows.len(), 4);
@@ -707,7 +732,7 @@ mod tests {
             "--bogus"
         ])
         .is_err());
-        std::fs::write(&qfile, "# only comments\n").unwrap();
+        std::fs::write(&*qfile, "# only comments\n").unwrap();
         assert!(run_str(&["workload", db.to_str().unwrap(), qfile.to_str().unwrap()]).is_err());
     }
 

@@ -1,13 +1,13 @@
-//! Parallel-enumeration oracle: sharded answer streaming vs the serial
+//! Parallel-enumeration oracle: parallel answer streaming vs the serial
 //! reference.
 //!
-//! PR 8 shards each clause's top-level candidate list into contiguous
-//! slices and enumerates the slices on a worker pool, concatenating the
-//! shard outputs in slice order. The contract is strict: for every built
-//! engine, [`Engine::par_for_each_answer`] under a forced-parallel
-//! [`ParConfig`] must visit *bit-identical* answers in *bit-identical
-//! order* to the serial, delay-accounted [`Engine::for_each_answer`] —
-//! not just the same set. The oracle also checks [`Engine::par_count`],
+//! The parallel path cuts the clauses' concatenated top-level candidate
+//! lists into contiguous tasks, enumerates them on a worker pool and
+//! streams their answers back in task order. The contract is strict: for
+//! every built engine, [`Engine::par_for_each_answer`] under a
+//! forced-parallel [`ParConfig`] must visit *bit-identical* answers in
+//! *bit-identical order* to the serial, delay-accounted
+//! [`Engine::for_each_answer`] — not just the same set. The oracle also checks [`Engine::par_count`],
 //! the first answer, an early `Break` prefix, and that a second parallel
 //! pass over the same engine reproduces the first (the per-traversal
 //! state really is per-traversal). Both [`SkipMode`]s run; rejection is

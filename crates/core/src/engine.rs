@@ -11,7 +11,7 @@ use crate::testing::TestIndex;
 use crate::EngineError;
 use lowdeg_index::Epsilon;
 use lowdeg_logic::{normalize, Query};
-use lowdeg_par::{par_map, ParConfig};
+use lowdeg_par::{par_map, par_ordered_stream, ParConfig, ORDERED_TASK_RECORDS};
 use lowdeg_storage::{Node, Structure};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::ControlFlow;
@@ -783,53 +783,36 @@ impl Engine {
         }
     }
 
-    /// Shard the answer space into contiguous tasks `(clause, lo, hi)` over
-    /// each clause's outermost candidate list. Task order (clause-major,
-    /// ascending slices) is the serial enumeration order, so draining task
-    /// results in this order reproduces it exactly.
-    fn shard_tasks(enumerator: &Enumerator, parts_per_clause: usize) -> Vec<(usize, usize, usize)> {
-        let mut tasks = Vec::new();
-        for (ci, plan) in enumerator.plans().iter().enumerate() {
-            let top = plan.top_len();
-            if top == 0 {
-                continue; // empty outer list: the clause has no answers
-            }
-            let part_len = top.div_ceil(parts_per_clause.max(1)).max(1);
-            let mut lo = 0;
-            while lo < top {
-                tasks.push((ci, lo, (lo + part_len).min(top)));
-                lo += part_len;
-            }
-        }
-        tasks
-    }
-
-    /// Theorem 2.7, sharded: drive every answer through `f` in **exactly
-    /// the serial order** ([`Engine::for_each_answer`]), materializing the
-    /// shards on the worker pool.
+    /// Theorem 2.7, on the worker pool: drive every answer through `f` in
+    /// **exactly the serial order** ([`Engine::for_each_answer`]),
+    /// streaming as it goes.
     ///
-    /// Each clause's outermost candidate list is cut into contiguous
-    /// slices; workers run the per-level skip machinery independently per
-    /// slice ([`crate::ClausePlan::iter_slice`]) and the results are
-    /// concatenated in slice order — bit-identical to the serial visitor,
-    /// because the outermost level walks its sorted list in order with an
-    /// empty forbidden set and inner levels depend only on the values fixed
+    /// The concatenated outermost candidate lists of all clauses are cut
+    /// into weight-balanced tasks (runs of `(clause, lo, hi)` slices, see
+    /// [`crate::ClausePlan::iter_slice`]); workers run the per-level skip
+    /// machinery per task and hand the answers over in fixed-size chunks,
+    /// which this thread drains in task order
+    /// ([`lowdeg_par::par_ordered_stream`]) while later tasks are still
+    /// being produced. The output is bit-identical to the serial visitor:
+    /// the outermost level walks its sorted list in order with an empty
+    /// forbidden set, and inner levels depend only on the values fixed
     /// above them (DESIGN §14). What is traded away is the *delay*
-    /// guarantee: answers arrive in order but in shard-sized bursts, so the
+    /// guarantee: answers arrive in order but in chunk-sized bursts, so the
     /// delay-accounted reference path stays [`Engine::for_each_answer`].
     ///
-    /// Returning [`ControlFlow::Break`] stops the drain at that answer.
-    /// The shards are materialized before the drain begins, so a Break
-    /// saves callback work but not shard work — callers that mostly stop
-    /// early (e.g. `first()`) should prefer the serial visitor.
-    /// Configurations that would run serially (1 thread, or fewer answers
-    /// than the pool's cutoff) fall back to the serial visitor with zero
-    /// overhead.
+    /// Memory stays bounded whatever `|φ(A)|` is: at most `threads × 16`
+    /// chunks of 4096 answers are in flight at once. Returning
+    /// [`ControlFlow::Break`] stops the drain at that answer, and every
+    /// worker stops within one chunk. A panic in `f` propagates after the
+    /// workers have stopped. Configurations that would run serially (1
+    /// thread, or fewer answers than the pool's cutoff) fall back to the
+    /// serial visitor with zero overhead.
     pub fn par_for_each_answer(
         &self,
         par: &ParConfig,
         mut f: impl FnMut(&[Node]) -> ControlFlow<()>,
     ) {
+        let arity = self.arity;
         let EngineKind::Reduced {
             test,
             enumerator,
@@ -842,38 +825,38 @@ impl Engine {
             return self.for_each_answer(f);
         }
         let reduction = test.reduction();
-        let tasks = Self::shard_tasks(enumerator, par.threads().saturating_mul(4));
-        // Task lists are tiny (threads·4 per clause), far below any sane
-        // serial-fallback cutoff — distribute them unconditionally.
-        let cfg = par.min_items(1);
-        let arity = self.arity;
-        let shards: Vec<Vec<Node>> = par_map(&cfg, &tasks, |&(ci, lo, hi)| {
-            let plan = &enumerator.plans()[ci];
-            let mut iter = plan.iter_slice(enumerator.adjacency(), lo, hi);
-            let mut answer: Vec<Node> = Vec::with_capacity(arity);
-            let mut buf: Vec<Node> = Vec::new();
-            while iter.advance() {
-                let ok = reduction.backward_into(iter.tuple(), &mut answer);
-                assert!(ok, "ψ(G) answers lie in the image of f");
-                buf.extend_from_slice(&answer);
-            }
-            buf
-        });
-        for shard in &shards {
-            for answer in shard.chunks_exact(arity) {
-                if f(answer).is_break() {
-                    return;
+        let plan = TaskPlan::new(enumerator, *count, par.threads());
+        par_ordered_stream(
+            par,
+            plan.tasks(),
+            |t, sink| {
+                let mut answer: Vec<Node> = Vec::with_capacity(arity);
+                for (ci, lo, hi) in plan.segments(t) {
+                    let clause = &enumerator.plans()[ci];
+                    let mut iter = clause.iter_slice(enumerator.adjacency(), lo, hi);
+                    while iter.advance() {
+                        let ok = reduction.backward_into(iter.tuple(), &mut answer);
+                        assert!(ok, "ψ(G) answers lie in the image of f");
+                        sink.push(&answer)?;
+                    }
                 }
-            }
-        }
+                ControlFlow::Continue(())
+            },
+            |chunk| {
+                for answer in chunk.chunks_exact(arity) {
+                    f(answer)?;
+                }
+                ControlFlow::Continue(())
+            },
+        );
     }
 
-    /// `|φ(A)|` by sharded parallel traversal. The build-time
-    /// [`Engine::count`] is free and exact — this path exists to *measure*
-    /// the parallel enumeration machinery (it drives the same sharded
-    /// cursors as [`Engine::par_for_each_answer`], skipping answer
-    /// materialization) and as an end-to-end cross-check. Serial-falling
-    /// configurations return the precomputed count directly.
+    /// `|φ(A)|` by parallel traversal. The build-time [`Engine::count`] is
+    /// free and exact — this path exists to *measure* the parallel
+    /// enumeration machinery (it drives the same task plan as
+    /// [`Engine::par_for_each_answer`], skipping answer materialization)
+    /// and as an end-to-end cross-check. Serial-falling configurations
+    /// return the precomputed count directly.
     pub fn par_count(&self, par: &ParConfig) -> u64 {
         let EngineKind::Reduced {
             enumerator, count, ..
@@ -884,21 +867,24 @@ impl Engine {
         if par.is_serial() || par.runs_serial(*count as usize) {
             return *count;
         }
-        let tasks = Self::shard_tasks(enumerator, par.threads().saturating_mul(4));
-        let cfg = par.min_items(1);
-        let counts: Vec<u64> = par_map(&cfg, &tasks, |&(ci, lo, hi)| {
-            let plan = &enumerator.plans()[ci];
-            let mut iter = plan.iter_slice(enumerator.adjacency(), lo, hi);
+        let plan = TaskPlan::new(enumerator, *count, par.threads());
+        let tasks: Vec<usize> = (0..plan.tasks()).collect();
+        // task lists are short (one task per window of answers) and the
+        // work per task is not: distribute them unconditionally
+        let counts: Vec<u64> = par_map(&par.min_items(1), &tasks, |&t| {
             let mut c = 0u64;
-            while iter.advance() {
-                c += 1;
+            for (ci, lo, hi) in plan.segments(t) {
+                let mut iter = enumerator.plans()[ci].iter_slice(enumerator.adjacency(), lo, hi);
+                while iter.advance() {
+                    c += 1;
+                }
             }
             c
         });
         counts.iter().sum()
     }
 
-    /// Theorem 2.7, sharded and materialized: every answer in exactly the
+    /// Theorem 2.7, parallel and materialized: every answer in exactly the
     /// serial enumeration order (see [`Engine::par_for_each_answer`]).
     pub fn par_enumerate(&self, par: &ParConfig) -> Vec<Vec<Node>> {
         let mut out = Vec::new();
@@ -994,6 +980,107 @@ impl Engine {
     }
 }
 
+/// The task plan of the parallel answer path: the outermost candidate
+/// lists of all clauses, concatenated in clause order, cut into contiguous
+/// runs of about equal *weight*. A run may span clause boundaries, so
+/// small clauses share one task; clauses with an empty outermost list
+/// contribute nothing. Task order is the serial enumeration order, so
+/// draining tasks in order reproduces it exactly.
+///
+/// An outermost candidate weighs one plus the product of the clause's
+/// other candidate-list lengths: the number of tuples below it before the
+/// distance conditions prune any, which at low degree is close to its
+/// answer count. Across the clauses of one query that count varies by an
+/// order of magnitude, so cutting by candidates alone makes tasks of very
+/// different sizes, and a task much larger than its stream window blocks
+/// its producer.
+struct TaskPlan {
+    /// `offsets[c]` is where clause `c`'s outermost list starts in the
+    /// concatenation; the last entry is the total length.
+    offsets: Vec<usize>,
+    /// Task `t` covers concatenation positions `bounds[t]..bounds[t + 1]`.
+    bounds: Vec<usize>,
+}
+
+impl TaskPlan {
+    /// About one task per [`ORDERED_TASK_RECORDS`] answers, so a task's
+    /// answers fit its stream window; at least `threads × 4` for load
+    /// balance, and at most one per outermost candidate.
+    fn new(enumerator: &Enumerator, count: u64, threads: usize) -> TaskPlan {
+        let clauses = enumerator.plans().iter().map(|plan| {
+            let top = plan.top_len();
+            let tuples: f64 = plan.list_sizes().iter().map(|&l| l as f64).product();
+            (top, if top == 0 { 0.0 } else { tuples / top as f64 })
+        });
+        TaskPlan::from_clauses(clauses, count, threads)
+    }
+
+    /// The plan over clauses given as `(outermost list length, tuples per
+    /// outermost candidate)`.
+    fn from_clauses(
+        clauses: impl ExactSizeIterator<Item = (usize, f64)>,
+        count: u64,
+        threads: usize,
+    ) -> TaskPlan {
+        let mut offsets = Vec::with_capacity(clauses.len() + 1);
+        let mut weights = Vec::with_capacity(clauses.len());
+        offsets.push(0);
+        for (len, tuples) in clauses {
+            offsets.push(offsets[offsets.len() - 1] + len);
+            weights.push(1.0 + tuples);
+        }
+        let total = offsets[offsets.len() - 1];
+        let by_count = usize::try_from(count / ORDERED_TASK_RECORDS as u64).unwrap_or(usize::MAX);
+        let tasks = by_count.max(threads.saturating_mul(4)).min(total);
+        let clause_weight = |c: usize| (offsets[c + 1] - offsets[c]) as f64 * weights[c];
+        let total_weight: f64 = (0..weights.len()).map(clause_weight).sum();
+        // walk the task boundaries (equal weight steps) and the clauses
+        // together; `before` is the weight of the clauses ahead of `c`
+        let mut bounds = vec![0];
+        let (mut c, mut before) = (0, 0.0);
+        for t in 1..tasks {
+            let target = total_weight * t as f64 / tasks as f64;
+            while c < weights.len() && before + clause_weight(c) <= target {
+                before += clause_weight(c);
+                c += 1;
+            }
+            let pos = if c < weights.len() {
+                let within = ((target - before) / weights[c]) as usize;
+                offsets[c] + within.min(offsets[c + 1] - offsets[c])
+            } else {
+                total
+            };
+            if pos > bounds[bounds.len() - 1] && pos < total {
+                bounds.push(pos);
+            }
+        }
+        if total > 0 {
+            bounds.push(total);
+        }
+        TaskPlan { offsets, bounds }
+    }
+
+    fn tasks(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Task `t` as `(clause, lo, hi)` slices of outermost lists, in
+    /// enumeration order.
+    fn segments(&self, t: usize) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let (lo, hi) = (self.bounds[t], self.bounds[t + 1]);
+        // the clause holding position `lo` (empty clauses share its offset
+        // and sit before it)
+        let first = self.offsets.partition_point(|&o| o <= lo).saturating_sub(1);
+        (first..self.offsets.len() - 1)
+            .take_while(move |&c| self.offsets[c] < hi)
+            .filter_map(move |c| {
+                let (start, end) = (self.offsets[c], self.offsets[c + 1]);
+                let (a, b) = (lo.max(start), hi.min(end));
+                (a < b).then(|| (c, a - start, b - start))
+            })
+    }
+}
+
 /// Streaming cursor over `φ(A)` with per-answer delay accounting.
 ///
 /// Wraps the enumerator's [`VertexStream`] and pulls each vertex tuple back
@@ -1072,6 +1159,66 @@ mod tests {
     use lowdeg_logic::eval::answers_naive;
     use lowdeg_logic::parse_query;
     use std::collections::BTreeSet;
+
+    /// The task plan covers the concatenated outermost lists exactly once,
+    /// in order, with tasks running across clause boundaries and clauses
+    /// with an empty list contributing no slice.
+    #[test]
+    fn task_plan_partitions_the_concatenated_lists() {
+        let lens = [0usize, 3, 0, 0, 1, 7, 0, 2, 0];
+        let total: usize = lens.iter().sum();
+        let uniform = || lens.iter().map(|&l| (l, 0.0));
+        for (count, threads) in [(13u64, 1usize), (13, 2), (13, 3), (1 << 40, 2)] {
+            let plan = TaskPlan::from_clauses(uniform(), count, threads);
+            let by_count = (count / ORDERED_TASK_RECORDS as u64) as usize;
+            assert_eq!(plan.tasks(), by_count.max(threads * 4).min(total));
+            let mut walked = Vec::new();
+            for t in 0..plan.tasks() {
+                let segs: Vec<_> = plan.segments(t).collect();
+                assert!(!segs.is_empty(), "task {t} is empty");
+                for (c, lo, hi) in segs {
+                    assert!(lo < hi && hi <= lens[c], "bad slice {c}:{lo}..{hi}");
+                    walked.extend((lo..hi).map(|i| (c, i)));
+                }
+            }
+            let expect: Vec<(usize, usize)> = lens
+                .iter()
+                .enumerate()
+                .flat_map(|(c, &len)| (0..len).map(move |i| (c, i)))
+                .collect();
+            assert_eq!(walked, expect, "count={count} threads={threads}");
+        }
+        let tasks = |plan: &TaskPlan| -> Vec<Vec<(usize, usize, usize)>> {
+            (0..plan.tasks())
+                .map(|t| plan.segments(t).collect())
+                .collect()
+        };
+        // four tasks over 13 equal candidates: task 1 runs across clauses
+        // 4 and 5, and clause 5 is split over tasks 1–3
+        let plan = TaskPlan::from_clauses(uniform(), 2, 1);
+        assert_eq!(
+            tasks(&plan),
+            vec![
+                vec![(1, 0, 3)],
+                vec![(4, 0, 1), (5, 0, 2)],
+                vec![(5, 2, 5)],
+                vec![(5, 5, 7), (7, 0, 2)],
+            ]
+        );
+        // candidates weigh by the tuples below them: a heavy candidate
+        // gets a task of its own, light clauses share one
+        let plan = TaskPlan::from_clauses([(2, 9.0), (0, 0.0), (4, 0.0)].into_iter(), 2, 1);
+        assert_eq!(
+            tasks(&plan),
+            vec![vec![(0, 0, 1)], vec![(0, 1, 2), (2, 0, 4)]]
+        );
+        // a huge count asks for one task per candidate, never more
+        let plan = TaskPlan::from_clauses(uniform(), u64::MAX, 2);
+        assert_eq!(plan.tasks(), total);
+        // no candidates, no tasks
+        let plan = TaskPlan::from_clauses([(0, 0.0), (0, 0.0)].into_iter(), 0, 4);
+        assert_eq!(plan.tasks(), 0);
+    }
 
     fn check_engine(seed: u64, n: usize, src: &str) {
         let s = ColoredGraphSpec::balanced(n, DegreeClass::Bounded(3)).generate(seed);

@@ -862,7 +862,8 @@ impl ClausePlan {
     }
 
     /// Length of the outermost order level's candidate list — the axis
-    /// [`ClausePlan::iter_slice`] shards over.
+    /// [`ClausePlan::iter_slice`] slices and the parallel answer path cuts
+    /// into tasks.
     pub fn top_len(&self) -> usize {
         self.order
             .first()
@@ -909,7 +910,9 @@ impl ClausePlan {
     /// cursors of any partition of `0..top_len()` in slice order therefore
     /// reproduces the full cursor's output **bit for bit** — the invariant
     /// the parallel answer path (`Engine::par_for_each_answer`) is built
-    /// on. Out-of-range bounds are clamped; an empty slice yields nothing.
+    /// on: its tasks are runs of such slices, streamed to the caller in
+    /// task order. Out-of-range bounds are clamped; an empty slice yields
+    /// nothing.
     pub fn iter_slice<'a>(
         &'a self,
         adjacency: &'a EdgeAdjacency,
@@ -972,8 +975,8 @@ pub struct ClauseIter<'a> {
     started: bool,
     done: bool,
     /// Bounds (list indexes, `lo..hi`) restricting the outermost order
-    /// level; the full range for [`ClausePlan::iter`], a shard for
-    /// [`ClausePlan::iter_slice`].
+    /// level; the full range for [`ClausePlan::iter`], one slice of a
+    /// parallel task for [`ClausePlan::iter_slice`].
     top_lo: usize,
     top_hi: usize,
     /// Per-position memo for lazy skip: packed `(y << 32) | vset_id` →
@@ -1259,7 +1262,7 @@ impl Drop for ClauseIter<'_> {
     /// Fold this traversal's memory high-water marks into the plan so
     /// `explain` can report lazy-memo and interner growth per level. The
     /// counters are monotone maxima over all finished cursors (serial
-    /// passes, parallel shards, abandoned prefix walks alike).
+    /// passes, parallel task slices, abandoned prefix walks alike).
     fn drop(&mut self) {
         for (pos, memo) in self.lazy_skip.iter().enumerate() {
             if let Some(level) = self.plan.levels[pos].as_ref() {
@@ -1306,9 +1309,9 @@ impl Enumerator {
     /// construction (and the inner `E_k` / skip-table passes) on the given
     /// worker pool. Parallel and serial builds produce identical plans;
     /// enumeration through [`Enumerator::stream`] is single-threaded (the
-    /// delay-accounted reference path), while the engine's sharded answer
-    /// path (`Engine::par_for_each_answer`) fans [`ClausePlan::iter_slice`]
-    /// cursors over the same pool.
+    /// delay-accounted reference path), while the engine's parallel answer
+    /// path (`Engine::par_for_each_answer`) runs [`ClausePlan::iter_slice`]
+    /// cursors as ordered streaming tasks on the same pool.
     pub fn build_with_config(
         graph: &Structure,
         gq: &GraphQuery,

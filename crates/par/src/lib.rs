@@ -1,13 +1,14 @@
 //! # lowdeg-par
 //!
 //! A small, dependency-free scoped worker pool for the *preprocessing* side
-//! of the pipeline (the pseudo-linear phase of Theorems 2.5–2.7). The
-//! enumeration/delay phase stays single-threaded by design — the
-//! constant-delay claim is about sequential RAM operations per output — so
-//! everything here is aimed at build-time fan-out: anchor passes, canonical
-//! encodings, `E`-edge generation, skip-table construction, the `2^m`
-//! inclusion–exclusion terms, Gaifman-graph extraction and conformance
-//! cases.
+//! of the pipeline (the pseudo-linear phase of Theorems 2.5–2.7): anchor
+//! passes, canonical encodings, `E`-edge generation, skip-table
+//! construction, the `2^m` inclusion–exclusion terms, Gaifman-graph
+//! extraction and conformance cases. The delay-accounted enumeration phase
+//! stays single-threaded — the constant-delay claim is about sequential RAM
+//! operations per output — but [`par_ordered_stream`] lets a throughput
+//! answer path fan out over ordered tasks while keeping the output order
+//! and a memory bound independent of the output size.
 //!
 //! Design constraints, in order:
 //!
@@ -23,6 +24,8 @@
 //! 3. **Panic transparency.** A panic in a worker closure is re-raised on
 //!    the calling thread with its original payload (no deadlock, no
 //!    swallowed result).
+//!    A panic in a [`par_ordered_stream`] consumer unwinds the calling
+//!    thread after every worker has stopped.
 //! 4. **Serial fallback.** Below [`ParConfig::min_items`] items (or with
 //!    `threads == 1`) no thread is spawned at all — small inputs must not
 //!    pay spawn latency, and `LOWDEG_THREADS=1` must produce a genuinely
@@ -31,8 +34,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Environment variable overriding the worker-thread count (`0` or unset
 /// means "auto": one worker per available core, capped at
@@ -274,6 +280,293 @@ fn run_chunked<T: Sync, U: Send>(
     out
 }
 
+/// Records per chunk a [`par_ordered_stream`] producer hands to the drain.
+const CHUNK: usize = 4096;
+
+/// Chunks in flight per open task of a [`par_ordered_stream`]: the task's
+/// channel holds `WINDOW - 2`, its producer fills one more, and the drain
+/// consumes one more (of the lowest open task only).
+const WINDOW: usize = 16;
+
+/// The records callers should aim for per [`par_ordered_stream`] task:
+/// half of a task's window, so that a task of average size — and most
+/// larger ones — fits its channel whole, and a producer running ahead of
+/// the drain seldom blocks before it finishes its task. (Streaming the
+/// running example's 5.8 M answers with 2 workers on a 2-core machine,
+/// full-window tasks left the workers blocked ~20% of the time,
+/// half-window tasks ~5%.)
+pub const ORDERED_TASK_RECORDS: usize = CHUNK * WINDOW / 2;
+
+/// Ordered streaming fan-out: run `produce(t, sink)` for every task
+/// `t in 0..tasks` on the worker pool and feed every record pushed into
+/// `sink` to `consume` on the calling thread, **in task order, and in push
+/// order within a task** — the same sequence a serial loop over the tasks
+/// would produce, whatever the thread count or scheduling.
+///
+/// Unlike the collecting combinators, nothing is materialized: producers
+/// fill chunks of `CHUNK` records and hand them over a bounded channel
+/// per task, and the calling thread drains the channels in task order while
+/// later tasks are still being produced. Workers claim tasks in ascending
+/// order from an atomic cursor, and at most one task per worker is open
+/// (claimed or finished but not yet drained) at a time: task `t` may start
+/// only once the drain has reached task `t - workers + 1`. The records
+/// pushed but not yet consumed therefore never exceed `threads × WINDOW ×
+/// CHUNK`, however many records the tasks produce. The lowest open task is
+/// always held by a live worker or claimable by one, so the drain always
+/// makes progress.
+///
+/// `consume` receives each chunk as one flat slice of concatenated records;
+/// a record is one [`StreamSink::push`] call (callers with fixed-width
+/// records split the slice by that width). Returning
+/// [`ControlFlow::Break`] from `consume` stops the stream: the channels are
+/// closed, so every producer stops at its next chunk hand-over, and
+/// [`StreamSink::push`] returns `Break` from then on — a producer should
+/// return as soon as it sees it. A `Break` returned by `produce` itself
+/// ends that task's output at the records pushed so far.
+///
+/// A panic in `produce` stops the drain at the panicking task and is
+/// re-raised on the calling thread with its payload once every worker has
+/// stopped; a panic in `consume` unwinds the calling thread after the
+/// workers have stopped. With a serial config (or fewer than two tasks)
+/// the tasks run inline on the calling thread, with the same chunking.
+/// The per-item [`ParConfig::min_items`] cutoff does not apply — tasks are
+/// coarse by construction, so the caller decides when to go serial.
+pub fn par_ordered_stream<T: Copy + Send>(
+    cfg: &ParConfig,
+    tasks: usize,
+    produce: impl Fn(usize, &mut StreamSink<'_, T>) -> ControlFlow<()> + Sync,
+    mut consume: impl FnMut(&[T]) -> ControlFlow<()>,
+) {
+    if cfg.is_serial() || tasks < 2 {
+        let mut sink = StreamSink::new(Handoff::Inline(&mut consume));
+        for t in 0..tasks {
+            let _ = produce(t, &mut sink);
+            if sink.flush(true).is_break() {
+                return;
+            }
+        }
+        return;
+    }
+    let workers = cfg.threads.min(tasks);
+    let gate = Gate::new(workers);
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let t = cursor.fetch_add(1, Ordering::Relaxed);
+                    if t >= tasks {
+                        return;
+                    }
+                    let Some(tx) = gate.claim(t) else {
+                        return; // the drain has stopped
+                    };
+                    let mut sink = StreamSink::new(Handoff::Channel(tx));
+                    let _ = produce(t, &mut sink);
+                    // the end-of-task marker; a producer that panics never
+                    // sends it, which tells the drain to stop
+                    let _ = sink.flush(true);
+                })
+            })
+            .collect();
+        drain(&gate, tasks, workers, &mut consume);
+        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+        for h in handles {
+            if let Err(payload) = h.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+    });
+}
+
+/// One chunk on its way from a producer to the drain, and whether it is
+/// the task's last.
+type Chunk<T> = (Vec<T>, bool);
+
+/// Where a [`StreamSink`] hands its full chunks.
+enum Handoff<'a, T> {
+    /// To the drain, over the task's bounded channel.
+    Channel(SyncSender<Chunk<T>>),
+    /// Straight to the consumer (serial fallback).
+    Inline(&'a mut dyn FnMut(&[T]) -> ControlFlow<()>),
+}
+
+/// The producer side of one [`par_ordered_stream`] task: buffers pushed
+/// records into chunks and hands each full chunk to the drain.
+pub struct StreamSink<'a, T> {
+    buf: Vec<T>,
+    records: usize,
+    out: Handoff<'a, T>,
+    stopped: bool,
+}
+
+impl<'a, T: Copy> StreamSink<'a, T> {
+    fn new(out: Handoff<'a, T>) -> StreamSink<'a, T> {
+        StreamSink {
+            buf: Vec::new(),
+            records: 0,
+            out,
+            stopped: false,
+        }
+    }
+
+    /// Append one record. Returns [`ControlFlow::Break`] once the stream
+    /// has stopped (the consumer broke, or a producer panicked): the
+    /// record is dropped and the producer should return.
+    #[inline]
+    pub fn push(&mut self, record: &[T]) -> ControlFlow<()> {
+        if self.stopped {
+            return ControlFlow::Break(());
+        }
+        if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(CHUNK * record.len());
+        }
+        self.buf.extend_from_slice(record);
+        self.records += 1;
+        if self.records == CHUNK {
+            self.flush(false)
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// Hand the buffered chunk over (`last` marks the end of the task).
+    fn flush(&mut self, last: bool) -> ControlFlow<()> {
+        if self.stopped {
+            return ControlFlow::Break(());
+        }
+        self.records = 0;
+        let delivered = match &mut self.out {
+            Handoff::Channel(tx) => tx.send((std::mem::take(&mut self.buf), last)).is_ok(),
+            Handoff::Inline(consume) => {
+                let go = self.buf.is_empty() || consume(&self.buf).is_continue();
+                self.buf.clear();
+                go
+            }
+        };
+        if delivered {
+            ControlFlow::Continue(())
+        } else {
+            self.stopped = true;
+            ControlFlow::Break(())
+        }
+    }
+}
+
+/// Admission control of [`par_ordered_stream`]: which tasks may start, and
+/// the sender half of each open task's channel until its worker takes it.
+struct Gate<T> {
+    state: Mutex<GateState<T>>,
+    opened: Condvar,
+}
+
+struct GateState<T> {
+    /// Tasks below this index may start.
+    open_until: usize,
+    /// Senders of the open tasks not yet taken by their worker, in a ring
+    /// indexed by task modulo the worker count (at most that many tasks
+    /// are open at once).
+    senders: Vec<Option<SyncSender<Chunk<T>>>>,
+    stopped: bool,
+}
+
+impl<T> Gate<T> {
+    fn new(workers: usize) -> Gate<T> {
+        Gate {
+            state: Mutex::new(GateState {
+                open_until: 0,
+                senders: (0..workers).map(|_| None).collect(),
+                stopped: false,
+            }),
+            opened: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GateState<T>> {
+        // every update under the lock is a single store, so the state is
+        // valid even if a holder panicked; `stop` runs in `Drop` and must
+        // not panic
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wait until task `t` may start and take its sender; `None` once the
+    /// drain has stopped.
+    fn claim(&self, t: usize) -> Option<SyncSender<Chunk<T>>> {
+        let mut s = self.lock();
+        while !s.stopped && t >= s.open_until {
+            s = self.opened.wait(s).unwrap_or_else(|e| e.into_inner());
+        }
+        if s.stopped {
+            return None;
+        }
+        let ring = s.senders.len();
+        s.senders[t % ring].take()
+    }
+
+    /// Open task `t` (the next one) and return its receiver.
+    fn open(&self, t: usize) -> Receiver<Chunk<T>> {
+        let (tx, rx) = sync_channel(WINDOW - 2);
+        let mut s = self.lock();
+        debug_assert_eq!(s.open_until, t, "tasks open in order");
+        let ring = s.senders.len();
+        debug_assert!(s.senders[t % ring].is_none(), "ring slot still taken");
+        s.senders[t % ring] = Some(tx);
+        s.open_until = t + 1;
+        self.opened.notify_all();
+        rx
+    }
+
+    /// Release every waiting worker and drop the untaken senders.
+    fn stop(&self) {
+        let mut s = self.lock();
+        s.stopped = true;
+        s.senders.iter_mut().for_each(|tx| *tx = None);
+        self.opened.notify_all();
+    }
+}
+
+/// The calling thread's side of [`par_ordered_stream`]: consume every
+/// task's chunks in task order, keeping `window` tasks open (one per
+/// worker, the size of the gate's ring).
+fn drain<T>(
+    gate: &Gate<T>,
+    tasks: usize,
+    window: usize,
+    consume: &mut impl FnMut(&[T]) -> ControlFlow<()>,
+) {
+    /// Stops the gate however the drain ends (done, `Break`, a dead
+    /// producer, or a panicking consumer), so no worker waits forever.
+    struct StopOnExit<'g, T>(&'g Gate<T>);
+    impl<T> Drop for StopOnExit<'_, T> {
+        fn drop(&mut self) {
+            self.0.stop();
+        }
+    }
+    let _stop = StopOnExit(gate);
+    // dropped before `_stop`: closing the channels stops the producers
+    let mut open: VecDeque<Receiver<Chunk<T>>> = (0..window).map(|t| gate.open(t)).collect();
+    for t in 0..tasks {
+        let rx = open.pop_front().expect("the drained task is open");
+        loop {
+            let Ok((chunk, last)) = rx.recv() else {
+                return; // the producer panicked; the join re-raises it
+            };
+            if !chunk.is_empty() && consume(&chunk).is_break() {
+                return;
+            }
+            if last {
+                break;
+            }
+        }
+        if t + window < tasks {
+            open.push_back(gate.open(t + window));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,6 +793,218 @@ mod tests {
             seen.into_inner().unwrap().len() > 1,
             "expected multiple worker threads"
         );
+    }
+
+    /// Task `t` of the ordered-stream tests pushes `t * 100_000 + i` for
+    /// `i < len(t)`, with lengths from empty to several chunks.
+    fn stream_task_len(t: usize) -> usize {
+        [0, 1, CHUNK - 1, CHUNK, 3 * CHUNK + 7, 17][t % 6]
+    }
+
+    fn stream_expected(tasks: usize) -> Vec<u64> {
+        (0..tasks)
+            .flat_map(|t| (0..stream_task_len(t)).map(move |i| (t * 100_000 + i) as u64))
+            .collect()
+    }
+
+    fn stream_collect(cfg: &ParConfig, tasks: usize, limit: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        par_ordered_stream(
+            cfg,
+            tasks,
+            |t, sink| {
+                for i in 0..stream_task_len(t) {
+                    sink.push(&[(t * 100_000 + i) as u64])?;
+                }
+                ControlFlow::Continue(())
+            },
+            |chunk| {
+                for &x in chunk {
+                    if out.len() == limit {
+                        return ControlFlow::Break(());
+                    }
+                    out.push(x);
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        out
+    }
+
+    #[test]
+    fn ordered_stream_preserves_task_order() {
+        for tasks in [0usize, 1, 2, 5, 23] {
+            let expect = stream_expected(tasks);
+            for threads in [1, 2, 3, 8] {
+                let got = stream_collect(&cfg(threads), tasks, usize::MAX);
+                assert_eq!(got, expect, "tasks={tasks} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_stream_records_stay_whole() {
+        // multi-item records are never split across chunks
+        let mut seen = Vec::new();
+        par_ordered_stream(
+            &cfg(3),
+            9,
+            |t, sink| {
+                for i in 0..2 * CHUNK + t {
+                    sink.push(&[t as u32, i as u32, 7])?;
+                }
+                ControlFlow::Continue(())
+            },
+            |chunk| {
+                assert_eq!(chunk.len() % 3, 0);
+                seen.extend(chunk.chunks_exact(3).map(|r| (r[0], r[1])));
+                ControlFlow::Continue(())
+            },
+        );
+        let expect: Vec<(u32, u32)> = (0..9u32)
+            .flat_map(|t| (0..2 * CHUNK as u32 + t).map(move |i| (t, i)))
+            .collect();
+        assert_eq!(seen, expect);
+    }
+
+    #[test]
+    fn ordered_stream_break_yields_prefix_and_stops_producers() {
+        let expect = stream_expected(40);
+        for threads in [1, 2, 4] {
+            for limit in [0usize, 1, CHUNK + 3, 5 * CHUNK] {
+                let got = stream_collect(&cfg(threads), 40, limit);
+                assert_eq!(got, expect[..limit], "threads={threads} limit={limit}");
+            }
+        }
+        // an endless producer ends once the consumer breaks
+        let pushed = AtomicUsize::new(0);
+        let mut taken = 0usize;
+        par_ordered_stream(
+            &cfg(2),
+            4,
+            |_, sink| loop {
+                pushed.fetch_add(1, Ordering::Relaxed);
+                sink.push(&[1u8])?;
+            },
+            |chunk| {
+                taken += chunk.len();
+                ControlFlow::Break(())
+            },
+        );
+        assert_eq!(taken, CHUNK);
+        assert!(pushed.into_inner() <= 2 * WINDOW * CHUNK + 2);
+    }
+
+    #[test]
+    fn ordered_stream_in_flight_stays_within_window() {
+        for threads in [2, 3, 4] {
+            let produced = AtomicUsize::new(0);
+            let consumed = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let bound = threads * WINDOW * CHUNK;
+            let mut total = 0usize;
+            par_ordered_stream(
+                &cfg(threads),
+                24,
+                |t, sink| {
+                    // uneven tasks, from empty to five windows
+                    for _ in 0..(t % 5) * WINDOW * CHUNK / 4 + t % 3 * CHUNK {
+                        let p = produced.fetch_add(1, Ordering::SeqCst) + 1;
+                        // a consumer racing ahead of this read can only
+                        // make the estimate smaller, never spuriously larger
+                        let in_flight = p.saturating_sub(consumed.load(Ordering::SeqCst));
+                        peak.fetch_max(in_flight, Ordering::Relaxed);
+                        sink.push(&[0u8])?;
+                    }
+                    ControlFlow::Continue(())
+                },
+                |chunk| {
+                    total += chunk.len();
+                    consumed.fetch_add(chunk.len(), Ordering::SeqCst);
+                    ControlFlow::Continue(())
+                },
+            );
+            assert_eq!(total, produced.into_inner());
+            let peak = peak.into_inner();
+            assert!(peak > CHUNK, "threads={threads}: the window never filled");
+            assert!(
+                peak <= bound,
+                "threads={threads}: {peak} records in flight > {bound}"
+            );
+        }
+    }
+
+    #[test]
+    fn ordered_stream_producer_panic_propagates() {
+        for threads in [2, 4] {
+            let result = std::panic::catch_unwind(|| {
+                par_ordered_stream(
+                    &cfg(threads),
+                    30,
+                    |t, sink| {
+                        if t == 11 {
+                            panic!("producer exploded at {t}");
+                        }
+                        for i in 0..CHUNK * 2 {
+                            sink.push(&[i])?;
+                        }
+                        ControlFlow::Continue(())
+                    },
+                    |_| ControlFlow::Continue(()),
+                );
+            });
+            let payload = result.expect_err("panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("string payload");
+            assert!(msg.contains("producer exploded at 11"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn ordered_stream_consumer_panic_propagates() {
+        let result = std::panic::catch_unwind(|| {
+            let mut chunks = 0;
+            par_ordered_stream(
+                &cfg(3),
+                12,
+                |_, sink| {
+                    for i in 0..CHUNK * WINDOW {
+                        sink.push(&[i])?;
+                    }
+                    ControlFlow::Continue(())
+                },
+                |_| {
+                    chunks += 1;
+                    if chunks == 5 {
+                        panic!("consumer exploded");
+                    }
+                    ControlFlow::Continue(())
+                },
+            );
+        });
+        let payload = result.expect_err("panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"consumer exploded"));
+    }
+
+    #[test]
+    fn ordered_stream_serial_config_never_spawns() {
+        let caller = std::thread::current().id();
+        let mut n = 0;
+        par_ordered_stream(
+            &ParConfig::serial(),
+            6,
+            |_, sink| {
+                assert_eq!(std::thread::current().id(), caller);
+                sink.push(&[1u8])
+            },
+            |chunk| {
+                n += chunk.len();
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(n, 6);
     }
 
     #[test]

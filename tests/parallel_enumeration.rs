@@ -1,18 +1,19 @@
-//! Property-based agreement between the sharded parallel answer path and
-//! the serial reference.
+//! Property-based agreement between the parallel answer path and the
+//! serial reference.
 //!
-//! `Engine::par_for_each_answer` / `par_count` / `par_enumerate` split
-//! every clause's top-level candidate list into contiguous slices, run the
-//! per-level skip machinery independently per slice on the `lowdeg-par`
-//! pool, and drain the shards in slice order. The contract (DESIGN §14) is
+//! `Engine::par_for_each_answer` / `par_count` / `par_enumerate` cut the
+//! concatenated top-level candidate lists of all clauses into tasks, run
+//! the per-level skip machinery per task on the `lowdeg-par` pool, and
+//! stream the answers back in task order. The contract (DESIGN §14) is
 //! bit-identical *order*, not just the same set: at order-depth 0 the
 //! forbidden set is empty, so the top level walks its sorted list strictly
 //! sequentially and concatenating contiguous slices reproduces the serial
 //! walk exactly. This suite asserts that — across all conformance query
 //! shapes × the paper's degree classes × both skip modes — against a
 //! forced 4-thread pool (`min_items` dropped to 1 so even tiny instances
-//! exercise the sharded path), plus `first`, early `Break`, and
-//! restartability.
+//! exercise the parallel path), plus `first`, early `Break`,
+//! restartability, tasks spanning clause boundaries, an early `Break` on an
+//! answer set far too large to hold, and a panicking callback.
 
 use lowdeg_bench::workloads::{colored, degree_classes};
 use lowdeg_conformance::{QueryGen, ALL_SHAPES};
@@ -23,9 +24,10 @@ use lowdeg_par::ParConfig;
 use lowdeg_storage::Node;
 use proptest::prelude::*;
 use std::ops::ControlFlow;
+use std::time::{Duration, Instant};
 
 /// A 4-thread pool with the per-item threshold dropped to 1: every
-/// instance, however small, goes down the sharded path.
+/// instance, however small, goes down the parallel path.
 fn forced() -> ParConfig {
     ParConfig::with_threads(4).min_items(1)
 }
@@ -118,7 +120,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// All conformance query shapes × degree classes × skip modes: the
-    /// sharded parallel path is observationally identical to serial.
+    /// parallel path is observationally identical to serial.
     #[test]
     fn parallel_agrees_with_serial(seed in 0u64..500, n in 16usize..28) {
         let shapes = ALL_SHAPES;
@@ -166,4 +168,111 @@ fn sentence_parallel_fallback() {
     let serial: Vec<Vec<Node>> = engine.enumerate().collect();
     assert_eq!(engine.par_enumerate(&forced()), serial);
     assert_eq!(engine.par_count(&forced()), engine.count());
+}
+
+/// A disjunction of radius-1 pair clauses reduces to hundreds of graph
+/// clauses with one or two outermost candidates each; small pools cut the
+/// concatenated lists into far fewer tasks than there are clauses, so most
+/// tasks run across clause boundaries. The order must still be the serial
+/// one. (Clauses with an empty outermost list are covered by the task
+/// planner's unit test: the reduction does not emit them here.)
+#[test]
+fn tasks_span_clause_boundaries() {
+    let s = colored(120, lowdeg_gen::DegreeClass::Bounded(2), 3);
+    let q = parse_query(
+        s.signature(),
+        "(B(x) & R(y) & !E(x, y) & (exists z. E(x, z) & R(z))) \
+         | (R(x) & G(y) & !E(x, y) & (exists z. E(x, z) & G(z))) \
+         | (B(x) & G(y) & E(x, y) & (exists z. E(y, z) & R(z)))",
+    )
+    .unwrap();
+    let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), SkipMode::Eager).unwrap();
+    let plans = engine.enumerator().expect("reduced engine").plans();
+    // at most threads × 4 tasks at this size: far fewer than clauses
+    assert!(plans.len() > 10 * 4 * 4, "{} clauses", plans.len());
+    let mut serial: Vec<Vec<Node>> = Vec::new();
+    engine.for_each_answer(|t| {
+        serial.push(t.to_vec());
+        ControlFlow::Continue(())
+    });
+    assert!(!serial.is_empty());
+    for threads in [2, 3, 4] {
+        let par = ParConfig::with_threads(threads).min_items(1);
+        assert_eq!(
+            par_prefix(&engine, &par, usize::MAX),
+            serial,
+            "threads={threads}"
+        );
+        assert_eq!(
+            engine.par_count(&par),
+            serial.len() as u64,
+            "threads={threads}"
+        );
+        let k = serial.len() / 2;
+        assert_eq!(
+            par_prefix(&engine, &par, k),
+            serial[..k],
+            "threads={threads}"
+        );
+    }
+}
+
+/// Breaking early on an answer set far too large to hold returns at once:
+/// the workers stop within one chunk instead of producing every answer.
+#[test]
+fn early_break_on_huge_answer_set_returns_promptly() {
+    let s = colored(4_400, lowdeg_gen::DegreeClass::Bounded(2), 11);
+    let q = parse_query(
+        s.signature(),
+        "B(x) & R(y) & G(z) & !E(x, y) & !E(y, z) & !E(x, z)",
+    )
+    .unwrap();
+    let engine = Engine::build(&s, &q, Epsilon::new(0.5)).unwrap();
+    assert!(engine.count() >= 1_000_000_000, "count {}", engine.count());
+    let mut serial = Vec::new();
+    engine.for_each_answer(|t| {
+        serial.push(t.to_vec());
+        if serial.len() == 10 {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    let start = Instant::now();
+    let prefix = par_prefix(&engine, &forced(), 10);
+    let took = start.elapsed();
+    assert_eq!(prefix, serial);
+    assert!(took < Duration::from_secs(5), "Break took {took:?}");
+}
+
+/// A panic in the callback reaches the caller, and does not leave the
+/// caller waiting on workers.
+#[test]
+fn callback_panic_propagates() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let s = colored(600, lowdeg_gen::DegreeClass::Bounded(3), 4);
+        let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
+        let engine = Engine::build(&s, &q, Epsilon::new(0.5)).unwrap();
+        assert!(engine.count() > 10_000);
+        let mut seen = 0;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.par_for_each_answer(&forced(), |_| {
+                seen += 1;
+                if seen == 5_000 {
+                    panic!("callback exploded");
+                }
+                ControlFlow::Continue(())
+            })
+        }));
+        let msg = result
+            .expect_err("the panic must propagate")
+            .downcast_ref::<&str>()
+            .copied();
+        tx.send(msg).unwrap();
+    });
+    let msg = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the parallel path hung after a callback panic");
+    assert_eq!(msg, Some("callback exploded"));
 }
