@@ -1,4 +1,4 @@
-//! Workload planner vs independent builds → `BENCH_workload.json`.
+//! Workload planner build times → `BENCH_workload.json`.
 //!
 //! ```bash
 //! cargo run --release -p lowdeg-bench --bin bench_workload              # full scale
@@ -7,47 +7,33 @@
 //! cargo run --release -p lowdeg-bench --bin bench_workload -- --baseline BENCH_workload.pr10.json
 //! ```
 //!
-//! The workload is sixteen queries: four color permutations of the
-//! ternary scatter clause (four genuinely distinct quantifier-free
-//! cores), each written in four syntactic variants — as-is, reversed
-//! conjuncts, a doubly negated matrix, and renamed variables. Every
-//! variant keeps the free variables' first-occurrence order, so all
-//! sixteen answer in the same column convention.
+//! The **homogeneous** workload is sixteen queries: four color
+//! permutations of the ternary scatter clause (four genuinely distinct
+//! quantifier-free cores), each written in four syntactic variants —
+//! as-is, reversed conjuncts, a doubly negated matrix, and renamed
+//! variables. Every variant keeps the free variables' first-occurrence
+//! order, so all sixteen answer in the same column convention. One
+//! [`Engine::build_workload`] call is timed over a warm [`ArtifactCache`]
+//! (an untimed pass primes it): queries normalize onto canonical
+//! fingerprints, same-class queries share one engine outright, and the
+//! distinct cores hit the fingerprint-keyed Step 5 product and
+//! whole-query count memo.
 //!
-//! Two timed configurations over the same warm [`ArtifactCache`] (the
-//! query-independent extract core is primed by an untimed pass, so the
-//! gap measured is query-level work, not Gaifman extraction):
-//!
-//! * **independent** — sixteen separate [`Engine::build_configured`]
-//!   calls with normalization disabled: each query recounts its clauses
-//!   and rebuilds its Step 5 acceptance and skip tables from its own
-//!   syntax, the multi-query baseline before this PR;
-//! * **workload** — one [`Engine::build_workload`] call: queries
-//!   normalize onto canonical fingerprints, same-class queries share one
-//!   engine outright, and the distinct cores hit the fingerprint-keyed
-//!   Step 5 product and whole-query count memo.
-//!
-//! A second, **heterogeneous** arm exercises clause-granular sharing:
+//! The **heterogeneous** workload exercises clause-granular sharing:
 //! sixteen *distinct* two-clause disjunctions drawn from a seven-clause
 //! pool so no two queries share a whole core but every clause appears in
 //! several queries (thirty-two clause slots onto seven distinct clauses).
-//! Both configurations run the same [`Engine::build_workload`] planner on
-//! a **fresh** cache per timed run — the only difference is
-//! `clause_sharing`, so the gap is exactly what the clause tier buys:
+//! One [`Engine::build_workload`] call is timed on a **fresh** cache per
+//! run: seven clause acceptance sets built once each, sixteen cheap union
+//! probes, seven clause counts memoised across the batch. An untimed
+//! reference pass checks every engine against an uncached solo
+//! [`Engine::build_configured`] of its query (count plus a 256-answer
+//! enumeration prefix).
 //!
-//! * **unshared** — `clause_sharing: false`, the whole-core planner of
-//!   the previous PR: sixteen monolithic Step 5 acceptance passes and
-//!   thirty-two clause counts;
-//! * **shared** — the cost-driven clause planner: seven clause acceptance
-//!   sets built once each, sixteen cheap union probes, seven clause
-//!   counts memoised across the batch.
-//!
-//! Interleaved best-of-`REPS` with the within-rep order swapped each rep.
-//! The JSON records wall times for both arms, the distinct-core and
-//! distinct-clause counts the planner found, per-query counts (asserted
-//! bit-identical between the paired configurations, and pairwise
-//! heterogeneous where the clause pairs differ), the thread count, and
-//! the speedups gated in CI.
+//! Best-of-`REPS` per workload. The JSON records both wall times, the
+//! distinct-core and distinct-clause counts the planner found, the
+//! clause-tier hits, per-query counts and the thread count; `--baseline`
+//! gates the counts and the sharing structure against a committed run.
 
 use lowdeg_bench::workloads::colored;
 use lowdeg_bench::{fmt_dur, time};
@@ -70,15 +56,6 @@ const DEGREE: usize = 2;
 /// the engine budget.
 const HETERO_DEGREE: usize = 2;
 const REPS: usize = 3;
-
-/// `build_workload` must beat sixteen independent warm builds by at least
-/// this factor (ISSUE 9 acceptance floor).
-const GATE_SPEEDUP: f64 = 3.0;
-
-/// On the heterogeneous arm, the clause-sharing planner must beat the
-/// whole-core planner by at least this factor (ISSUE 10 acceptance
-/// floor).
-const HETERO_GATE_SPEEDUP: f64 = 2.0;
 
 /// The three colors, permuted four ways → four distinct cores.
 const PERMS: [[&str; 3]; 4] = [
@@ -162,7 +139,6 @@ struct Measured {
     queries: usize,
     distinct_cores: usize,
     workload: Duration,
-    independent: Duration,
     counts: Vec<u64>,
 }
 
@@ -172,7 +148,6 @@ struct HeteroMeasured {
     distinct_clauses: usize,
     clause_hits: u64,
     shared: Duration,
-    unshared: Duration,
     counts: Vec<u64>,
 }
 
@@ -184,39 +159,25 @@ fn bench_hetero(n: usize, par: &ParConfig) -> HeteroMeasured {
         .map(|src| parse_query(s.signature(), src).expect("parses"))
         .collect();
     let qrefs: Vec<&Query> = queries.iter().collect();
-    let shared_cfg = EngineConfig {
+    let config = EngineConfig {
         eps: Epsilon::new(EPS),
         ..EngineConfig::default()
     };
-    let unshared_cfg = EngineConfig {
-        clause_sharing: false,
-        ..shared_cfg
-    };
 
-    // Untimed reference pass: fixes the counts, the planner statistics
-    // and a bit-identity check between the two planners (counts plus an
-    // enumeration prefix; the clausecheck conformance oracle covers full
-    // order equality at smaller scales).
+    // Untimed reference pass: fixes the counts and the planner statistics,
+    // and checks each engine against an uncached solo build of its query
+    // (counts plus an enumeration prefix; the clausecheck conformance
+    // oracle covers full order equality at smaller scales).
     let cache = ArtifactCache::new();
     let (engines, stats) =
-        Engine::build_workload(&s, &qrefs, &shared_cfg, par, &cache).expect("localizable");
+        Engine::build_workload(&s, &qrefs, &config, par, &cache).expect("localizable");
     let counts: Vec<u64> = engines.iter().map(|e| e.count()).collect();
-    {
-        let reference = ArtifactCache::new();
-        let (ref_engines, ref_stats) =
-            Engine::build_workload(&s, &qrefs, &unshared_cfg, par, &reference)
-                .expect("localizable");
-        for (i, (a, b)) in engines.iter().zip(&ref_engines).enumerate() {
-            assert_eq!(a.count(), b.count(), "query {i} count diverged at n = {n}");
-            let xs: Vec<_> = a.enumerate().take(256).collect();
-            let ys: Vec<_> = b.enumerate().take(256).collect();
-            assert_eq!(xs, ys, "query {i} enumeration prefix diverged at n = {n}");
-        }
-        assert_eq!(
-            ref_stats.clause_cache_hits, 0,
-            "whole-core planner must not share clauses"
-        );
-        assert_eq!(ref_stats.distinct_clauses, stats.distinct_clauses);
+    for (i, (a, q)) in engines.iter().zip(&qrefs).enumerate() {
+        let b = Engine::build_configured(&s, q, &config, par, None).expect("localizable");
+        assert_eq!(a.count(), b.count(), "query {i} count diverged at n = {n}");
+        let xs: Vec<_> = a.enumerate().take(256).collect();
+        let ys: Vec<_> = b.enumerate().take(256).collect();
+        assert_eq!(xs, ys, "query {i} enumeration prefix diverged at n = {n}");
     }
     // The workload is genuinely heterogeneous: queries with different
     // clause pairs answer differently (the clauses are pairwise disjoint,
@@ -238,30 +199,16 @@ fn bench_hetero(n: usize, par: &ParConfig) -> HeteroMeasured {
     assert_eq!(stats.distinct_clauses, CLAUSES.len());
     assert!(stats.clause_cache_hits > 0, "the clause tier must fire");
 
-    // Timed: a fresh cache per run, so both arms pay full build cost and
-    // the difference is clause-granular sharing alone.
+    // Timed: a fresh cache per run, so every run pays the full build cost.
     let mut shared = Duration::MAX;
-    let mut unshared = Duration::MAX;
-    for rep in 0..REPS {
-        let order: [bool; 2] = if rep % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for arm in order {
-            let cfg = if arm { &shared_cfg } else { &unshared_cfg };
-            let ((run_engines, _), dt) = time(|| {
-                let fresh = ArtifactCache::new();
-                Engine::build_workload(&s, &qrefs, cfg, par, &fresh).expect("localizable")
-            });
-            let got: Vec<u64> = run_engines.iter().map(|e| e.count()).collect();
-            assert_eq!(got, counts, "heterogeneous counts diverged at n = {n}");
-            if arm {
-                shared = shared.min(dt);
-            } else {
-                unshared = unshared.min(dt);
-            }
-        }
+    for _ in 0..REPS {
+        let ((run_engines, _), dt) = time(|| {
+            let fresh = ArtifactCache::new();
+            Engine::build_workload(&s, &qrefs, &config, par, &fresh).expect("localizable")
+        });
+        let got: Vec<u64> = run_engines.iter().map(|e| e.count()).collect();
+        assert_eq!(got, counts, "heterogeneous counts diverged at n = {n}");
+        shared = shared.min(dt);
     }
     HeteroMeasured {
         queries: qrefs.len(),
@@ -269,7 +216,6 @@ fn bench_hetero(n: usize, par: &ParConfig) -> HeteroMeasured {
         distinct_clauses: stats.distinct_clauses,
         clause_hits: stats.clause_cache_hits,
         shared,
-        unshared,
         counts,
     }
 }
@@ -286,68 +232,32 @@ fn bench(n: usize, par: &ParConfig) -> Measured {
         eps: Epsilon::new(EPS),
         ..EngineConfig::default()
     };
-    let raw = EngineConfig {
-        normalize: false,
-        ..config
-    };
     let cache = ArtifactCache::new();
 
-    // Untimed warm-up: primes the extract/reduce core both configurations
-    // share, and fixes the reference counts. The fingerprint-keyed caches
-    // it leaves warm are exactly what the workload path is allowed to use
-    // and the normalization-free path cannot.
-    let (_, stats) = Engine::build_workload(&s, &qrefs, &config, par, &cache).expect("localizable");
-    let counts: Vec<u64> = qrefs
-        .iter()
-        .map(|q| {
-            Engine::build_configured(&s, q, &raw, par, Some(&cache))
-                .expect("localizable")
-                .count()
-        })
-        .collect();
+    // Untimed warm-up: primes the extract/reduce core and the
+    // fingerprint-keyed caches the timed runs are served from, and fixes
+    // the reference counts.
+    let (engines, stats) =
+        Engine::build_workload(&s, &qrefs, &config, par, &cache).expect("localizable");
+    let counts: Vec<u64> = engines.iter().map(|e| e.count()).collect();
 
     let mut workload = Duration::MAX;
-    let mut independent = Duration::MAX;
-    for rep in 0..REPS {
-        let order: [bool; 2] = if rep % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for batch in order {
-            if batch {
-                let ((engines, wl_stats), dt) = time(|| {
-                    Engine::build_workload(&s, &qrefs, &config, par, &cache).expect("localizable")
-                });
-                let got: Vec<u64> = engines.iter().map(|e| e.count()).collect();
-                assert_eq!(got, counts, "workload counts diverged at n = {n}");
-                assert_eq!(
-                    wl_stats.distinct_cores, stats.distinct_cores,
-                    "distinct-core count is not deterministic at n = {n}"
-                );
-                workload = workload.min(dt);
-            } else {
-                let (got, dt) = time(|| {
-                    qrefs
-                        .iter()
-                        .map(|q| {
-                            Engine::build_configured(&s, q, &raw, par, Some(&cache))
-                                .expect("localizable")
-                                .count()
-                        })
-                        .collect::<Vec<u64>>()
-                });
-                assert_eq!(got, counts, "independent counts diverged at n = {n}");
-                independent = independent.min(dt);
-            }
-        }
+    for _ in 0..REPS {
+        let ((engines, wl_stats), dt) =
+            time(|| Engine::build_workload(&s, &qrefs, &config, par, &cache).expect("localizable"));
+        let got: Vec<u64> = engines.iter().map(|e| e.count()).collect();
+        assert_eq!(got, counts, "workload counts diverged at n = {n}");
+        assert_eq!(
+            wl_stats.distinct_cores, stats.distinct_cores,
+            "distinct-core count is not deterministic at n = {n}"
+        );
+        workload = workload.min(dt);
     }
     Measured {
         n,
         queries: qrefs.len(),
         distinct_cores: stats.distinct_cores,
         workload,
-        independent,
         counts,
     }
 }
@@ -372,26 +282,21 @@ fn render_json(
          \"eps\": {EPS},\n  \"reps\": {REPS},\n  \"quick\": {quick},\n  \
          \"cores\": {cores},\n  \"threads\": {threads},\n  \"n\": {},\n  \
          \"queries\": {},\n  \"distinct_cores\": {},\n  \"workload_ms\": {:.3},\n  \
-         \"independent_ms\": {:.3},\n  \"speedup\": {:.3},\n  \"counts\": [{}],\n  \
+         \"counts\": [{}],\n  \
          \"hetero_degree_class\": \"bounded({HETERO_DEGREE})\",\n  \
          \"hetero_queries\": {},\n  \"hetero_distinct_cores\": {},\n  \
          \"hetero_distinct_clauses\": {},\n  \"hetero_clause_hits\": {},\n  \
-         \"hetero_shared_ms\": {:.3},\n  \"hetero_unshared_ms\": {:.3},\n  \
-         \"hetero_speedup\": {:.3},\n  \"hetero_counts\": [{}]\n}}\n",
+         \"hetero_shared_ms\": {:.3},\n  \"hetero_counts\": [{}]\n}}\n",
         m.n,
         m.queries,
         m.distinct_cores,
         m.workload.as_secs_f64() * 1e3,
-        m.independent.as_secs_f64() * 1e3,
-        m.independent.as_secs_f64() / m.workload.as_secs_f64().max(1e-9),
         join_counts(&m.counts),
         h.queries,
         h.distinct_cores,
         h.distinct_clauses,
         h.clause_hits,
         h.shared.as_secs_f64() * 1e3,
-        h.unshared.as_secs_f64() * 1e3,
-        h.unshared.as_secs_f64() / h.shared.as_secs_f64().max(1e-9),
         join_counts(&h.counts)
     )
 }
@@ -425,10 +330,9 @@ fn field_counts(text: &str, key: &str) -> Vec<u64> {
 }
 
 /// Gate against the committed baseline: counts bit-identical on both
-/// arms, the distinct-core and distinct-clause counts unchanged, and the
-/// fresh speedups at or above [`GATE_SPEEDUP`] / [`HETERO_GATE_SPEEDUP`]
-/// (the baseline's own speedups document the committed numbers but the
-/// floors are absolute, not relative).
+/// workloads, the distinct-core and distinct-clause counts unchanged, and
+/// the clause tier firing on the heterogeneous workload. Wall times are
+/// recorded, not gated.
 fn gate_against_baseline(m: &Measured, h: &HeteroMeasured, path: &Path) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("reading baseline {}: {e}", path.display()));
@@ -456,32 +360,16 @@ fn gate_against_baseline(m: &Measured, h: &HeteroMeasured, path: &Path) {
         "heterogeneous answer counts changed vs baseline"
     );
 
-    let speedup = m.independent.as_secs_f64() / m.workload.as_secs_f64().max(1e-9);
+    assert!(h.clause_hits > 0, "the clause tier never fired");
     println!(
-        "gate at n = {}: workload speedup {speedup:.2}x (need >= {GATE_SPEEDUP}), \
-         {} queries onto {} distinct cores",
-        m.n, m.queries, m.distinct_cores
-    );
-    assert!(
-        speedup >= GATE_SPEEDUP,
-        "build_workload at n = {} is only {speedup:.2}x faster than {} independent \
-         warm builds (need {GATE_SPEEDUP}x)",
+        "gate at n = {}: {} queries onto {} distinct cores; {} clause slots onto {} \
+         distinct clauses ({} clause hit(s))",
         m.n,
-        m.queries
-    );
-    let hetero_speedup = h.unshared.as_secs_f64() / h.shared.as_secs_f64().max(1e-9);
-    println!(
-        "hetero gate at n = {}: clause-sharing speedup {hetero_speedup:.2}x \
-         (need >= {HETERO_GATE_SPEEDUP}), {} clause slots onto {} distinct clauses",
-        m.n,
+        m.queries,
+        m.distinct_cores,
         2 * h.queries,
-        h.distinct_clauses
-    );
-    assert!(
-        hetero_speedup >= HETERO_GATE_SPEEDUP,
-        "clause-shared build_workload at n = {} is only {hetero_speedup:.2}x faster \
-         than the whole-core planner (need {HETERO_GATE_SPEEDUP}x)",
-        m.n
+        h.distinct_clauses,
+        h.clause_hits
     );
     println!("gates passed");
 }
@@ -516,23 +404,19 @@ fn main() {
     );
     let m = bench(n, &par);
     println!(
-        "{} queries onto {} distinct cores: build_workload {} vs independent {} ({:.2}x)",
+        "{} queries onto {} distinct cores: warm build_workload {}",
         m.queries,
         m.distinct_cores,
-        fmt_dur(m.workload),
-        fmt_dur(m.independent),
-        m.independent.as_secs_f64() / m.workload.as_secs_f64().max(1e-9)
+        fmt_dur(m.workload)
     );
     let h = bench_hetero(n, &par);
     println!(
         "heterogeneous: {} clause slots onto {} distinct clauses ({} hit(s)): \
-         clause-shared {} vs whole-core {} ({:.2}x)",
+         fresh-cache build_workload {}",
         2 * h.queries,
         h.distinct_clauses,
         h.clause_hits,
-        fmt_dur(h.shared),
-        fmt_dur(h.unshared),
-        h.unshared.as_secs_f64() / h.shared.as_secs_f64().max(1e-9)
+        fmt_dur(h.shared)
     );
 
     let json = render_json(&m, &h, quick, cores, par.threads());

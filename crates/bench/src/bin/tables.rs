@@ -20,11 +20,12 @@ use lowdeg_core::bluered::BlueRed;
 use lowdeg_core::counting::count_conjunction;
 use lowdeg_core::enumerate::SkipMode;
 use lowdeg_core::naive::{DelayRecorder, GenerateAndTest};
-use lowdeg_core::Engine;
+use lowdeg_core::{Engine, EngineConfig};
 use lowdeg_gen::DegreeClass;
 use lowdeg_index::{Epsilon, FactIndex, HashFuncStore, RadixFuncStore};
 use lowdeg_logic::eval::check_naive;
 use lowdeg_logic::{parse_query, Formula};
+use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Structure};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -626,8 +627,15 @@ fn e10_skip_ablation(cfg: &Cfg) {
         let s = colored(n, DegreeClass::Bounded(d), 900 + d as u64);
         let q = parse_query(s.signature(), RUNNING_EXAMPLE).expect("parses");
         for (label, mode) in [("eager", SkipMode::Eager), ("lazy", SkipMode::Lazy)] {
-            let (engine, prep) =
-                time(|| Engine::build_with(&s, &q, Epsilon::new(EPS), mode).expect("localizable"));
+            let config = EngineConfig {
+                skip_mode: mode,
+                eps: Epsilon::new(EPS),
+                ..EngineConfig::default()
+            };
+            let (engine, prep) = time(|| {
+                Engine::build_configured(&s, &q, &config, &ParConfig::from_env(), None)
+                    .expect("localizable")
+            });
             let entries: usize = engine
                 .enumerator()
                 .map(|en| {
@@ -670,8 +678,15 @@ fn e10_forced(cfg: &Cfg) {
             ("eager-force", SkipMode::EagerForce),
             ("lazy", SkipMode::Lazy),
         ] {
-            let (engine, prep) =
-                time(|| Engine::build_with(&s, &q, Epsilon::new(EPS), mode).expect("localizable"));
+            let config = EngineConfig {
+                skip_mode: mode,
+                eps: Epsilon::new(EPS),
+                ..EngineConfig::default()
+            };
+            let (engine, prep) = time(|| {
+                Engine::build_configured(&s, &q, &config, &ParConfig::from_env(), None)
+                    .expect("localizable")
+            });
             let entries: usize = engine
                 .enumerator()
                 .map(|en| {

@@ -6,7 +6,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use lowdeg_core::{ArtifactCache, Engine, EngineConfig, SkipMode};
+use lowdeg_core::{ArtifactCache, Engine, EngineConfig};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
@@ -31,8 +31,12 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
     let eps = extract_eps(&mut args)?;
     let par = extract_threads(&mut args)?;
     let format = extract_format(&mut args)?;
-    let build = |db: &Structure, q: &lowdeg_logic::Query| {
-        Engine::build_with_config(db, q, eps, SkipMode::Eager, &par).map_err(|e| e.to_string())
+    let config = EngineConfig {
+        eps,
+        ..EngineConfig::default()
+    };
+    let build = |db: &Structure, q: &lowdeg_logic::Query, cache: Option<&ArtifactCache>| {
+        Engine::build_configured(db, q, &config, &par, cache).map_err(|e| e.to_string())
     };
     let mut it = args.into_iter();
     let cmd = it.next().ok_or_else(usage)?;
@@ -79,15 +83,14 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
             // build through a cache so the report can show the artifact /
             // counting-memo state a long-lived process would accumulate
             let cache = ArtifactCache::new();
-            let engine = Engine::build_full(&db, &q, eps, SkipMode::Eager, &par, Some(&cache))
-                .map_err(|e| e.to_string())?;
+            let engine = build(&db, &q, Some(&cache))?;
             write!(out, "{}", engine.explain_with_cache(&cache)).map_err(w)?;
             Ok(())
         }
         "count" => {
             let db = load(rest.first().ok_or_else(usage)?)?;
             let q = query(&db, rest.get(1).ok_or_else(usage)?)?;
-            let engine = build(&db, &q)?;
+            let engine = build(&db, &q, None)?;
             // Theorem 2.5: the count is computed during the build, so
             // printing it costs O(1) whatever the thread count
             writeln!(out, "{}", engine.count()).map_err(w)?;
@@ -108,7 +111,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                     tuple.len()
                 ));
             }
-            let engine = build(&db, &q)?;
+            let engine = build(&db, &q, None)?;
             writeln!(out, "{}", engine.test(&tuple)).map_err(w)?;
             Ok(())
         }
@@ -119,7 +122,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                 Some(s) => s.parse().map_err(|e| format!("bad limit: {e}"))?,
                 None => usize::MAX,
             };
-            let engine = build(&db, &q)?;
+            let engine = build(&db, &q, None)?;
             // both formats stream through the parallel visitor — the pool
             // from --threads / LOWDEG_THREADS produces answers in the
             // serial order, so the output is thread-count-invariant, and
@@ -204,10 +207,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                 .collect::<Result<_, _>>()?;
             let refs: Vec<&lowdeg_logic::Query> = queries.iter().collect();
             let cache = ArtifactCache::new();
-            let config = EngineConfig {
-                eps,
-                ..EngineConfig::default()
-            };
             let (engines, stats) = Engine::build_workload(&db, &refs, &config, &par, &cache)
                 .map_err(|e| e.to_string())?;
             for (i, (engine, src)) in engines.iter().zip(&sources).enumerate() {
@@ -251,13 +250,14 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                     let shared_with = engines[..i]
                         .iter()
                         .position(|e| std::sync::Arc::ptr_eq(e, &engines[i]));
-                    match (engine.normalization(), shared_with) {
-                        (Some(info), Some(j)) => writeln!(
+                    let info = engine.normalization();
+                    match shared_with {
+                        Some(j) => writeln!(
                             out,
                             "# query {i}: fingerprint {:016x} shared with query {j}",
                             info.fingerprint
                         ),
-                        (Some(info), None) => {
+                        None => {
                             let rewrites = if info.rewrites.is_empty() {
                                 "none".to_string()
                             } else {
@@ -274,7 +274,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                                 }
                             )
                         }
-                        (None, _) => writeln!(out, "# query {i}: normalization disabled"),
                     }
                     .map_err(w)?;
                     for (ci, fp) in clause_fps[i].iter().enumerate() {

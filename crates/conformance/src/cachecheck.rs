@@ -15,7 +15,7 @@
 
 use crate::differential::Disagreement;
 use crate::parcheck::plan_stats;
-use lowdeg_core::{ArtifactCache, Engine, SkipMode};
+use lowdeg_core::{ArtifactCache, Engine, EngineConfig, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::Query;
 use lowdeg_par::ParConfig;
@@ -30,13 +30,18 @@ pub fn cachecheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
 
     for mode in [SkipMode::Eager, SkipMode::Lazy] {
         let tag = format!("{mode:?}");
-        let cold = match Engine::build_with_config(s, q, eps, mode, &par) {
+        let config = EngineConfig {
+            skip_mode: mode,
+            eps,
+            ..EngineConfig::default()
+        };
+        let cold = match Engine::build_configured(s, q, &config, &par, None) {
             Ok(e) => e,
             Err(_) => continue, // rejection is the differential oracle's business
         };
         let cache = ArtifactCache::new();
         // first cached build populates, second must be served from the cache
-        let primed = match Engine::build_full(s, q, eps, mode, &par, Some(&cache)) {
+        let primed = match Engine::build_configured(s, q, &config, &par, Some(&cache)) {
             Ok(e) => e,
             Err(e) => {
                 bad.push(Disagreement {
@@ -48,7 +53,7 @@ pub fn cachecheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
                 continue;
             }
         };
-        let warm = match Engine::build_full(s, q, eps, mode, &par, Some(&cache)) {
+        let warm = match Engine::build_configured(s, q, &config, &par, Some(&cache)) {
             Ok(e) => e,
             Err(e) => {
                 bad.push(Disagreement {
@@ -140,13 +145,12 @@ mod tests {
         // a single cache serving two different databases must key them apart
         let cache = ArtifactCache::new();
         let par = ParConfig::serial();
-        let eps = Epsilon::default_eps();
+        let config = EngineConfig::default();
         for seed in [4, 5] {
             let s = ColoredGraphSpec::balanced(26, DegreeClass::Bounded(3)).generate(seed);
             let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-            let cold = Engine::build_with_config(&s, &q, eps, SkipMode::Eager, &par).unwrap();
-            let cached =
-                Engine::build_full(&s, &q, eps, SkipMode::Eager, &par, Some(&cache)).unwrap();
+            let cold = Engine::build_configured(&s, &q, &config, &par, None).unwrap();
+            let cached = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
             assert_eq!(cold.count(), cached.count(), "seed {seed}");
             let a: Vec<_> = cold.enumerate().collect();
             let b: Vec<_> = cached.enumerate().collect();

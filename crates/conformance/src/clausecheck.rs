@@ -1,23 +1,21 @@
 //! Clause-sharing oracle: the clause-granular workload planner must be
-//! observably identical to the whole-core planner, and must actually
-//! share.
+//! observably identical to uncached solo builds, and must actually share.
 //!
 //! From a multi-clause case query this oracle derives a *partial-overlap
 //! family*: two-clause disjunctions over the query's own canonical
 //! clauses, arranged so every clause rides in at least two family members
 //! but no two members are the same query (a wheel `c_i ∨ c_{i+1}` for
 //! three or more clauses, `{c_0 ∨ c_1, c_0, c_1}` for exactly two). The
-//! family then builds twice through [`Engine::build_workload`]: once with
-//! `clause_sharing` enabled (clause acceptance sets and combination
-//! counts stitch from the [`ArtifactCache`]'s clause tier) and once with
-//! the previous whole-core planner (`clause_sharing: false`), each on a
-//! fresh cache. The contract is strict: per query, both arms must agree
-//! on the count, the full enumeration *order*, and the per-clause plan
-//! statistics; the planner statistics must agree on the distinct-clause
-//! decomposition; and — the memo-vacuity check — the sharing arm must
-//! report clause-tier hits while the whole-core arm must report none, so
-//! a regression that silently stops sharing (and would keep every answer
-//! correct) still fails conformance.
+//! family builds once through [`Engine::build_workload`] on a fresh
+//! [`ArtifactCache`] (clause acceptance sets and combination counts stitch
+//! from the cache's clause tier), and each member builds once more on its
+//! own without any cache. The contract is strict: per member, both arms
+//! must agree on the count, the full enumeration *order*, and the
+//! per-clause plan statistics; the planner's distinct-clause count must
+//! match the members' normal forms; and — the memo-vacuity check — the
+//! workload arm must report clause-tier hits, so a regression that
+//! silently stops sharing (and would keep every answer correct) still
+//! fails conformance.
 //!
 //! Members that *fall back* to their original syntax (the normal form
 //! failed to localize) keep the bit-identity contract but waive the
@@ -30,6 +28,7 @@ use lowdeg_index::Epsilon;
 use lowdeg_logic::{normalize, ClauseForm, Formula, Query};
 use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Structure};
+use std::collections::BTreeSet;
 
 /// One engine's observable surface, for cross-arm comparison.
 struct Observed {
@@ -80,42 +79,42 @@ fn family(canonical: &Query, clauses: &[ClauseForm]) -> Option<Vec<Query>> {
     Some(out)
 }
 
-/// Compare one family member's observables across the two planner arms.
-fn compare(i: usize, shared: &Observed, independent: &Observed, bad: &mut Vec<Disagreement>) {
-    if shared.count != independent.count {
+/// Compare one family member's observables across the two arms.
+fn compare(i: usize, shared: &Observed, solo: &Observed, bad: &mut Vec<Disagreement>) {
+    if shared.count != solo.count {
         bad.push(Disagreement {
             check: "clausecheck-count".into(),
             detail: format!(
-                "member {i}: clause-shared count {} vs whole-core count {}",
-                shared.count, independent.count
+                "member {i}: clause-shared count {} vs solo count {}",
+                shared.count, solo.count
             ),
         });
     }
-    if shared.answers != independent.answers {
+    if shared.answers != solo.answers {
         let first = shared
             .answers
             .iter()
-            .zip(&independent.answers)
+            .zip(&solo.answers)
             .position(|(x, y)| x != y)
-            .unwrap_or(shared.answers.len().min(independent.answers.len()));
+            .unwrap_or(shared.answers.len().min(solo.answers.len()));
         bad.push(Disagreement {
             check: "clausecheck-enumeration-order".into(),
             detail: format!(
                 "member {i}: enumeration diverges at output {first}: \
                  {:?} vs {:?} ({} vs {} outputs total)",
                 shared.answers.get(first),
-                independent.answers.get(first),
+                solo.answers.get(first),
                 shared.answers.len(),
-                independent.answers.len()
+                solo.answers.len()
             ),
         });
     }
-    if shared.stats != independent.stats {
+    if shared.stats != solo.stats {
         bad.push(Disagreement {
             check: "clausecheck-plan-stats".into(),
             detail: format!(
-                "member {i}: plan stats differ: clause-shared {:?} vs whole-core {:?}",
-                shared.stats, independent.stats
+                "member {i}: plan stats differ: clause-shared {:?} vs solo {:?}",
+                shared.stats, solo.stats
             ),
         });
     }
@@ -134,57 +133,49 @@ pub fn clausecheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
     };
     let refs: Vec<&Query> = members.iter().collect();
     let par = ParConfig::serial();
-    let shared_cfg = EngineConfig {
+    let config = EngineConfig {
         eps: Epsilon::default_eps(),
         ..EngineConfig::default()
     };
-    let independent_cfg = EngineConfig {
-        clause_sharing: false,
-        ..shared_cfg
+
+    let shared = Engine::build_workload(s, &refs, &config, &par, &ArtifactCache::new());
+    let solo: Result<Vec<Engine>, _> = members
+        .iter()
+        .map(|m| Engine::build_configured(s, m, &config, &par, None))
+        .collect();
+    let ((shared_engines, shared_stats), solo_engines) = match (shared, solo) {
+        (Err(_), Err(_)) => return bad, // both reject: the differential oracle's business
+        (Ok(_), Err(e)) => {
+            bad.push(Disagreement {
+                check: "clausecheck-build".into(),
+                detail: format!("clause-shared arm built but a solo build failed: {e}"),
+            });
+            return bad;
+        }
+        (Err(e), Ok(_)) => {
+            bad.push(Disagreement {
+                check: "clausecheck-build".into(),
+                detail: format!("solo builds succeeded but the clause-shared arm failed: {e}"),
+            });
+            return bad;
+        }
+        (Ok(a), Ok(b)) => (a, b),
     };
 
-    let shared_cache = ArtifactCache::new();
-    let shared = Engine::build_workload(s, &refs, &shared_cfg, &par, &shared_cache);
-    let independent =
-        Engine::build_workload(s, &refs, &independent_cfg, &par, &ArtifactCache::new());
-    let ((shared_engines, shared_stats), (independent_engines, independent_stats)) =
-        match (shared, independent) {
-            (Err(_), Err(_)) => return bad, // both reject: the differential oracle's business
-            (Ok(_), Err(e)) => {
-                bad.push(Disagreement {
-                    check: "clausecheck-build".into(),
-                    detail: format!("clause-shared arm built but whole-core arm failed: {e}"),
-                });
-                return bad;
-            }
-            (Err(e), Ok(_)) => {
-                bad.push(Disagreement {
-                    check: "clausecheck-build".into(),
-                    detail: format!("whole-core arm built but clause-shared arm failed: {e}"),
-                });
-                return bad;
-            }
-            (Ok(a), Ok(b)) => (a, b),
-        };
-
-    for (i, (a, b)) in shared_engines.iter().zip(&independent_engines).enumerate() {
+    for (i, (a, b)) in shared_engines.iter().zip(&solo_engines).enumerate() {
         compare(i, &observe(a), &observe(b), &mut bad);
     }
-    if shared_stats.distinct_clauses != independent_stats.distinct_clauses {
+    let distinct_clauses = members
+        .iter()
+        .flat_map(|m| normalize(m).clauses.into_iter().map(|c| c.fingerprint))
+        .collect::<BTreeSet<u64>>()
+        .len();
+    if shared_stats.distinct_clauses != distinct_clauses {
         bad.push(Disagreement {
             check: "clausecheck-plan-stats".into(),
             detail: format!(
-                "distinct-clause decomposition differs: clause-shared {} vs whole-core {}",
-                shared_stats.distinct_clauses, independent_stats.distinct_clauses
-            ),
-        });
-    }
-    if independent_stats.clause_cache_hits != 0 {
-        bad.push(Disagreement {
-            check: "clausecheck-vacuity".into(),
-            detail: format!(
-                "whole-core planner probed the clause tier: {} hit(s)",
-                independent_stats.clause_cache_hits
+                "distinct-clause decomposition differs: planner {} vs normal forms {}",
+                shared_stats.distinct_clauses, distinct_clauses
             ),
         });
     }
@@ -192,9 +183,7 @@ pub fn clausecheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
     // fallback build, the sharing arm must have stitched at least one
     // clause artifact from the tier — bit-identity alone would also pass
     // if sharing silently stopped firing.
-    let any_fallback = shared_engines
-        .iter()
-        .any(|e| e.normalization().map(|n| n.fallback).unwrap_or(true));
+    let any_fallback = shared_engines.iter().any(|e| e.normalization().fallback);
     if !any_fallback && shared_stats.distinct_clauses >= 2 && shared_stats.clause_cache_hits == 0 {
         bad.push(Disagreement {
             check: "clausecheck-vacuity".into(),

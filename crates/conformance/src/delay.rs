@@ -8,10 +8,11 @@
 //! thresholds as the repository's `delay_ops` tier-1 test).
 
 use crate::json::Json;
-use lowdeg_core::{Engine, SkipMode};
+use lowdeg_core::{Engine, EngineConfig, SkipMode};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use std::ops::ControlFlow;
 
 /// One gate measurement.
@@ -54,8 +55,13 @@ impl DelayGate {
 fn worst_ops(n: usize, seed: u64, src: &str, mode: SkipMode) -> u64 {
     let s = ColoredGraphSpec::balanced(n, DegreeClass::Bounded(5)).generate(seed);
     let q = parse_query(s.signature(), src).expect("gate query parses");
-    let engine =
-        Engine::build_with(&s, &q, Epsilon::new(0.5), mode).expect("gate query is localizable");
+    let config = EngineConfig {
+        skip_mode: mode,
+        eps: Epsilon::new(0.5),
+        ..EngineConfig::default()
+    };
+    let engine = Engine::build_configured(&s, &q, &config, &ParConfig::from_env(), None)
+        .expect("gate query is localizable");
     // the streaming visitor: the gate measures the same allocation-free
     // path the throughput benchmark exercises, not the boxed adapter
     let mut worst = 0u64;

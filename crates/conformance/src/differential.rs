@@ -16,10 +16,11 @@
 //! is actually caught and shrunk to a witness.
 
 use lowdeg_core::naive::GenerateAndTest;
-use lowdeg_core::{Engine, SkipMode};
+use lowdeg_core::{Engine, EngineConfig, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::eval::{answers_naive, check_naive, model_check_naive};
 use lowdeg_logic::Query;
+use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Structure};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -168,7 +169,12 @@ pub fn differential_case(
     // --- engine, all skip modes, default ε ---
     let eps = Epsilon::default_eps();
     for mode in [SkipMode::Eager, SkipMode::Lazy, SkipMode::EagerForce] {
-        let engine = match Engine::build_with(s, q, eps, mode) {
+        let config = EngineConfig {
+            skip_mode: mode,
+            eps,
+            ..EngineConfig::default()
+        };
+        let engine = match Engine::build_configured(s, q, &config, &ParConfig::from_env(), None) {
             Ok(e) => e,
             Err(e) => {
                 stats.rejection = Some(e.to_string());

@@ -15,7 +15,7 @@
 
 use crate::differential::Disagreement;
 use crate::parcheck::forced_parallel;
-use lowdeg_core::{Engine, SkipMode};
+use lowdeg_core::{Engine, EngineConfig, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::Query;
 use lowdeg_par::ParConfig;
@@ -60,7 +60,12 @@ pub fn enumcheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
 
     for mode in [SkipMode::Eager, SkipMode::Lazy] {
         let tag = format!("{mode:?}");
-        let e = match Engine::build_with_config(s, q, eps, mode, &serial) {
+        let config = EngineConfig {
+            skip_mode: mode,
+            eps,
+            ..EngineConfig::default()
+        };
+        let e = match Engine::build_configured(s, q, &config, &serial, None) {
             Ok(e) => e,
             Err(_) => continue, // rejection is the differential oracle's business
         };

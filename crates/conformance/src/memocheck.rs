@@ -1,4 +1,4 @@
-//! Counting-memo sharing oracle: per-query vs shared-core vs `build_many`.
+//! Counting-memo sharing oracle: per-query vs shared-core vs workload batch.
 //!
 //! The [`ArtifactCache`] keeps one [`lowdeg_core::CountingMemo`] per
 //! quantifier-free core `(structure, r, k, ε)`; the ie-count stage drains
@@ -6,21 +6,21 @@
 //! hits for every later build against the same core. The contract is
 //! strict because memo entries are *exact* counts: an engine built with a
 //! warm memo — whether warmed by the same query, a sibling query, or a
-//! whole [`Engine::build_many`] batch — must be observably identical to
+//! whole [`Engine::build_workload`] batch — must be observably identical to
 //! one built with no cache at all. Same count, same enumeration order,
 //! same per-clause plan statistics.
 //!
 //! Each case builds a three-query family (the case query thrice — every
 //! component signature repeats, so sharing is maximally exercised) three
 //! ways: independently with a fresh cache per build, sequentially through
-//! one shared cache, and through `build_many` on another fresh cache.
+//! one shared cache, and through `build_workload` on another fresh cache.
 //! A shared-memo run in which the repeated builds never hit the memo
 //! (while components were actually discovered) would pass vacuously, so
 //! that is reported as a disagreement too.
 
 use crate::differential::Disagreement;
 use crate::parcheck::{plan_stats, PlanStats};
-use lowdeg_core::{ArtifactCache, Engine, SkipMode};
+use lowdeg_core::{ArtifactCache, Engine, EngineConfig, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::Query;
 use lowdeg_par::ParConfig;
@@ -93,7 +93,7 @@ fn compare(
 }
 
 /// Build the case's query family independently, through one shared
-/// counting memo, and through [`Engine::build_many`]; report every
+/// counting memo, and through [`Engine::build_workload`]; report every
 /// observable difference.
 pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
     let mut bad = Vec::new();
@@ -103,6 +103,11 @@ pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
 
     for mode in [SkipMode::Eager, SkipMode::Lazy] {
         let tag = format!("{mode:?}");
+        let config = EngineConfig {
+            skip_mode: mode,
+            eps,
+            ..EngineConfig::default()
+        };
 
         // arm 1 — independent: a fresh cache per build, no sharing at all
         let independent: Vec<Observed> = {
@@ -110,7 +115,7 @@ pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
             let mut ok = true;
             for qi in &queries {
                 let fresh = ArtifactCache::new();
-                match Engine::build_full(s, qi, eps, mode, &par, Some(&fresh)) {
+                match Engine::build_configured(s, qi, &config, &par, Some(&fresh)) {
                     Ok(e) => out.push(observe(&e)),
                     Err(_) => {
                         ok = false; // rejection is the differential oracle's business
@@ -130,7 +135,7 @@ pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
         let mut shared = Vec::with_capacity(FAMILY);
         let mut failed = false;
         for (i, qi) in queries.iter().enumerate() {
-            match Engine::build_full(s, qi, eps, mode, &par, Some(&shared_cache)) {
+            match Engine::build_configured(s, qi, &config, &par, Some(&shared_cache)) {
                 Ok(e) => shared.push(observe(&e)),
                 Err(e) => {
                     bad.push(Disagreement {
@@ -158,14 +163,16 @@ pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
             });
         }
 
-        // arm 3 — build_many: the batch API on its own fresh cache
+        // arm 3 — workload: the batch planner on its own fresh cache
         let batch_cache = ArtifactCache::new();
-        let batched = match Engine::build_many(s, &queries, eps, mode, &par, &batch_cache) {
-            Ok(engines) => engines.iter().map(observe).collect::<Vec<_>>(),
+        let batched = match Engine::build_workload(s, &queries, &config, &par, &batch_cache) {
+            Ok((engines, _)) => engines.iter().map(|e| observe(e)).collect::<Vec<_>>(),
             Err(e) => {
                 bad.push(Disagreement {
                     check: "memocheck-build".into(),
-                    detail: format!("[{tag}] independent build succeeded, build_many failed: {e}"),
+                    detail: format!(
+                        "[{tag}] independent build succeeded, build_workload failed: {e}"
+                    ),
                 });
                 continue;
             }
@@ -173,7 +180,7 @@ pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
 
         for (i, want) in independent.iter().enumerate() {
             compare(&tag, "shared-core", i, want, &shared[i], &mut bad);
-            compare(&tag, "build_many", i, want, &batched[i], &mut bad);
+            compare(&tag, "workload", i, want, &batched[i], &mut bad);
         }
     }
     bad
@@ -218,13 +225,13 @@ mod tests {
             .map(|src| parse_query(s.signature(), src).unwrap())
             .collect();
         let refs: Vec<&Query> = queries.iter().collect();
-        let eps = Epsilon::default_eps();
+        let config = EngineConfig::default();
         let par = ParConfig::serial();
 
         let cache = ArtifactCache::new();
-        let batched = Engine::build_many(&s, &refs, eps, SkipMode::Eager, &par, &cache).unwrap();
+        let (batched, _) = Engine::build_workload(&s, &refs, &config, &par, &cache).unwrap();
         for (q, e) in refs.iter().zip(&batched) {
-            let solo = Engine::build_with_config(&s, q, eps, SkipMode::Eager, &par).unwrap();
+            let solo = Engine::build_configured(&s, q, &config, &par, None).unwrap();
             assert_eq!(solo.count(), e.count());
             let a: Vec<Vec<Node>> = solo.enumerate().collect();
             let b: Vec<Vec<Node>> = e.enumerate().collect();

@@ -16,7 +16,7 @@
 
 use crate::differential::Disagreement;
 use lowdeg_core::enumerate::Enumerator;
-use lowdeg_core::{Engine, SkipMode};
+use lowdeg_core::{Engine, EngineConfig, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::Query;
 use lowdeg_par::ParConfig;
@@ -75,11 +75,16 @@ pub fn parcheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
 
     for mode in [SkipMode::Eager, SkipMode::Lazy] {
         let tag = format!("{mode:?}");
-        let a = match Engine::build_with_config(s, q, eps, mode, &serial) {
+        let config = EngineConfig {
+            skip_mode: mode,
+            eps,
+            ..EngineConfig::default()
+        };
+        let a = match Engine::build_configured(s, q, &config, &serial, None) {
             Ok(e) => e,
             Err(_) => continue, // rejection is the differential oracle's business
         };
-        let b = match Engine::build_with_config(s, q, eps, mode, &parallel) {
+        let b = match Engine::build_configured(s, q, &config, &parallel, None) {
             Ok(e) => e,
             Err(e) => {
                 bad.push(Disagreement {

@@ -284,8 +284,9 @@ impl ArtifactCache {
     /// retained (and evicted) alongside the core entry of the same key.
     /// Every engine built against the same core through this cache drains
     /// its ie-count stage into the one memo, so repeated builds — and
-    /// [`crate::Engine::build_many`] workloads of distinct queries sharing
-    /// a quantifier-free core — skip every previously counted component.
+    /// [`crate::Engine::build_workload`] batches of distinct queries
+    /// sharing a quantifier-free core — skip every previously counted
+    /// component.
     pub fn counting_memo(
         &self,
         fingerprint: u64,

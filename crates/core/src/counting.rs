@@ -182,57 +182,26 @@ impl NodeSet {
 /// the inclusion–exclusion rewrites, each term's positive part is a set of
 /// `E`-edges; its connected components are counted by rooting at the
 /// position with the smallest candidate list and extending along adjacency.
-pub fn count_clause(
-    graph: &Structure,
-    gq: &GraphQuery,
-    clause: &GraphClause,
-) -> Result<u64, ConnectedError> {
-    let adjacency = crate::enumerate::EdgeAdjacency::build(graph, gq.edge);
-    Ok(count_clause_with(graph, gq, clause, &adjacency))
-}
-
-/// [`count_clause`] with a shared adjacency (avoids rebuilding it per
-/// clause).
-pub fn count_clause_with(
-    graph: &Structure,
-    gq: &GraphQuery,
-    clause: &GraphClause,
-    adjacency: &crate::enumerate::EdgeAdjacency,
-) -> u64 {
-    count_clause_with_config(graph, gq, clause, adjacency, &ParConfig::serial())
-}
-
-/// [`count_clause_with`] on the given worker pool, evaluating the `2^m`
-/// inclusion–exclusion terms over the **subset lattice** instead of
-/// independently.
 ///
-/// The terms `N(S)` for `S ⊆ neg` factor into connected components of the
-/// positive-edge set, and terms adjacent in the lattice (differing by one
-/// flipped atom) share every component not touched by that atom. The walk
-/// visits the masks in Gray-code order, splits each term into components,
-/// and interns each component's canonical signature (members + included
-/// edges, packed via [`SliceInterner`]); a component seen before reuses its
-/// cached count, so each *distinct* component is counted exactly once
-/// across the whole lattice — the per-lattice-step work degenerates to the
-/// component(s) containing the flipped edge. The distinct component counts
-/// fan out over the worker pool; the signed products are then summed in
-/// mask order in an `i128`, which reproduces the per-term evaluation
+/// The `2^m` inclusion–exclusion terms are evaluated over the **subset
+/// lattice** instead of independently. The terms `N(S)` for `S ⊆ neg`
+/// factor into connected components of the positive-edge set, and terms
+/// adjacent in the lattice (differing by one flipped atom) share every
+/// component not touched by that atom. The walk visits the masks in
+/// Gray-code order, splits each term into components, and interns each
+/// component's canonical signature (members + included edges, packed via
+/// [`SliceInterner`]); a component seen before reuses its cached count, so
+/// each *distinct* component is counted exactly once across the whole
+/// lattice — the per-lattice-step work degenerates to the component(s)
+/// containing the flipped edge. The distinct component counts fan out over
+/// the worker pool; the signed products are then summed in mask order in an
+/// `i128`, which reproduces the per-term evaluation
 /// ([`count_clause_per_term`]) bit for bit.
-pub fn count_clause_with_config(
-    graph: &Structure,
-    gq: &GraphQuery,
-    clause: &GraphClause,
-    adjacency: &crate::enumerate::EdgeAdjacency,
-    par: &ParConfig,
-) -> u64 {
-    count_clause_with_memo(graph, gq, clause, adjacency, par, None)
-}
-
-/// [`count_clause_with_config`] with an optional cross-query
-/// [`CountingMemo`]: distinct lattice components probe the memo by
-/// canonical signature and only novel ones are counted. The result is
-/// bit-identical with and without a memo (a memo entry is the exact count
-/// of its signature).
+///
+/// With a cross-query [`CountingMemo`], distinct lattice components probe
+/// the memo by canonical signature and only novel ones are counted. The
+/// result is bit-identical with and without a memo (a memo entry is the
+/// exact count of its signature).
 pub fn count_clause_with_memo(
     graph: &Structure,
     gq: &GraphQuery,
@@ -254,7 +223,7 @@ pub fn count_clause_with_memo(
 /// The per-term reference evaluation of Lemma 3.5: nested differences, each
 /// term's positive part counted from scratch. Kept as the differential
 /// oracle for the lattice path (see `tests/lattice_ie.rs`); the production
-/// path is [`count_clause_with_config`].
+/// path is [`count_clause_with_memo`].
 pub fn count_clause_per_term(
     graph: &Structure,
     gq: &GraphQuery,
@@ -283,7 +252,7 @@ pub fn count_clause_lattice_serial(
 /// The sliced lattice walk with an explicit slice-bit count, forced even
 /// when the pool would run serially. `bits` is clamped to `[1, m]` (with
 /// `m = 0` falling back to the single walk). Oracle entry — the production
-/// path picks `bits` from the pool size ([`count_clause_with_config`]).
+/// path picks `bits` from the pool size ([`count_clause_with_memo`]).
 pub fn count_clause_lattice_sliced(
     graph: &Structure,
     gq: &GraphQuery,
@@ -736,7 +705,7 @@ fn component_counts(
     counts
 }
 
-/// The subset-lattice evaluation (see [`count_clause_with_config`]).
+/// The subset-lattice evaluation (see [`count_clause_with_memo`]).
 ///
 /// Serial pools walk the whole `2^m` lattice once; multi-thread pools slice
 /// the rank space by its top [`lattice_slice_bits`] bits into contiguous
@@ -1171,39 +1140,12 @@ fn rec_count(
     }
 }
 
-/// `|ψ(G)|`: sum over the mutually exclusive clauses.
-pub fn count_graph_query(graph: &Structure, gq: &GraphQuery) -> Result<u64, ConnectedError> {
-    count_graph_query_with(graph, gq, &ParConfig::serial())
-}
-
-/// [`count_graph_query`] on the given worker pool: clauses count in
-/// parallel (order-preserving), and each clause's inclusion–exclusion terms
-/// fan out further when large enough.
-pub fn count_graph_query_with(
-    graph: &Structure,
-    gq: &GraphQuery,
-    par: &ParConfig,
-) -> Result<u64, ConnectedError> {
-    let adjacency = crate::enumerate::EdgeAdjacency::build(graph, gq.edge);
-    count_graph_query_with_adjacency(graph, gq, &adjacency, par)
-}
-
-/// [`count_graph_query_with`] with a caller-supplied `E`-adjacency. The
-/// engine builds the CSR once and shares it between the ie-count stage and
-/// the enumerator instead of materializing it twice.
-pub fn count_graph_query_with_adjacency(
-    graph: &Structure,
-    gq: &GraphQuery,
-    adjacency: &crate::enumerate::EdgeAdjacency,
-    par: &ParConfig,
-) -> Result<u64, ConnectedError> {
-    count_graph_query_with_adjacency_memo(graph, gq, adjacency, par, None)
-}
-
-/// [`count_graph_query_with_adjacency`] with an optional cross-query
-/// [`CountingMemo`] (see [`count_clause_with_memo`]); the engine threads
-/// the [`crate::ArtifactCache`]'s per-core memo through here so repeated
-/// and batched builds skip every previously counted component.
+/// `|ψ(G)|`: sum over the mutually exclusive clauses, on the given worker
+/// pool with a caller-supplied `E`-adjacency — clauses count in parallel
+/// (order-preserving), and each clause's inclusion–exclusion terms fan out
+/// further when large enough. The optional cross-query [`CountingMemo`]
+/// (see [`count_clause_with_memo`]) lets repeated and batched builds skip
+/// every previously counted component.
 pub fn count_graph_query_with_adjacency_memo(
     graph: &Structure,
     gq: &GraphQuery,
@@ -1217,23 +1159,27 @@ pub fn count_graph_query_with_adjacency_memo(
     Ok(counts.iter().sum())
 }
 
-/// [`count_graph_query_with_adjacency_memo`] with the per-clause
-/// combo-count tier engaged: `signatures[i]` is the packed acceptance
-/// signature of `gq.clauses[i]` (see `reduction::pack_signature`). Each
-/// clause probes the memo by signature; only novel clauses run their
-/// inclusion–exclusion walk (which still shares the component-signature
-/// tier), and their counts are published for the next query touching the
-/// same combo. Bit-identical to the plain path: a memo entry is the exact
-/// count of its signature, and the total is the same commutative sum.
+/// The engine's ie-count stage: [`count_graph_query_with_adjacency_memo`]
+/// with the per-clause combo-count tier engaged when a memo is given.
+/// `signatures[i]` is the packed acceptance signature of `gq.clauses[i]`
+/// (see `reduction::pack_signature`). Each clause probes the memo by
+/// signature; only novel clauses run their inclusion–exclusion walk (which
+/// still shares the component-signature tier), and their counts are
+/// published for the next query touching the same combo. Bit-identical to
+/// the memo-free path: a memo entry is the exact count of its signature,
+/// and the total is the same commutative sum.
 pub fn count_graph_query_with_combo_memo(
     graph: &Structure,
     gq: &GraphQuery,
     signatures: &[Box<[u64]>],
     adjacency: &crate::enumerate::EdgeAdjacency,
     par: &ParConfig,
-    memo: &CountingMemo,
+    memo: Option<&CountingMemo>,
 ) -> Result<u64, ConnectedError> {
     debug_assert_eq!(signatures.len(), gq.clauses.len());
+    let Some(memo) = memo else {
+        return count_graph_query_with_adjacency_memo(graph, gq, adjacency, par, None);
+    };
     let cached: Vec<Option<u64>> = signatures.iter().map(|s| memo.combo_count(s)).collect();
     let miss: Vec<u32> = cached
         .iter()
@@ -1414,7 +1360,7 @@ mod tests {
         let par = ParConfig::serial();
         let memo = CountingMemo::new();
         for gq in [&q1, &q2] {
-            let plain = count_graph_query_with_adjacency(&s, gq, &adj, &par).unwrap();
+            let plain = count_graph_query_with_adjacency_memo(&s, gq, &adj, &par, None).unwrap();
             let memoized =
                 count_graph_query_with_adjacency_memo(&s, gq, &adj, &par, Some(&memo)).unwrap();
             assert_eq!(plain, memoized, "memo must not change the count");
@@ -1454,8 +1400,10 @@ mod tests {
                 colors: vec![vec![b], vec![r]],
             }],
         };
-        let counted = count_graph_query(&s, &gq).unwrap();
         let adj = crate::enumerate::EdgeAdjacency::build(&s, e);
+        let counted =
+            count_graph_query_with_adjacency_memo(&s, &gq, &adj, &ParConfig::serial(), None)
+                .unwrap();
         let mut brute = 0u64;
         for x in s.domain() {
             for y in s.domain() {

@@ -1,16 +1,13 @@
 //! The public façade tying the pipeline together.
 
 use crate::artifacts::{ArtifactCache, BuildProfile, Profiler, Stage};
-use crate::counting::{
-    count_graph_query_with_adjacency, count_graph_query_with_adjacency_memo,
-    count_graph_query_with_combo_memo,
-};
+use crate::counting::count_graph_query_with_combo_memo;
 use crate::enumerate::{Enumerator, SkipLimits, SkipMode, VertexStream};
 use crate::reduction::{Reduction, DEFAULT_COMBINATION_BUDGET};
 use crate::testing::TestIndex;
 use crate::EngineError;
 use lowdeg_index::Epsilon;
-use lowdeg_logic::{normalize, Query};
+use lowdeg_logic::{normalize, NormalForm, Query};
 use lowdeg_par::{par_map, par_ordered_stream, ParConfig, ORDERED_TASK_RECORDS};
 use lowdeg_storage::{Node, Structure};
 use std::collections::{BTreeMap, HashMap};
@@ -24,10 +21,9 @@ type ClauseBuckets = BTreeMap<(usize, usize), (u64, BTreeMap<usize, Vec<usize>>)
 
 /// Build-time configuration beyond the structure/query pair.
 ///
-/// The two-argument entry points ([`Engine::build`], [`Engine::build_with`])
-/// cover the common cases; `EngineConfig` is the explicit form, and the only
-/// way to override the eager-machinery cost gates per engine or to request
-/// the post-build warm-up.
+/// [`Engine::build`] covers the common case; `EngineConfig` is the
+/// explicit form, and the only way to pick a [`SkipMode`], override the
+/// eager-machinery cost gates per engine or request the post-build warm-up.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// How the `skip` function is materialized (see [`SkipMode`]).
@@ -45,26 +41,6 @@ pub struct EngineConfig {
     /// the first answer, charging both to the `warm-up` build stage instead
     /// of the first delay sample of the real enumeration.
     pub warm_up: bool,
-    /// Run the query-rewrite normalization pass
-    /// ([`lowdeg_logic::normalize`]) before building, so syntactic rewrite
-    /// variants of one query share cached Step 5 acceptance products and
-    /// whole-query counts, and [`Engine::build_workload`] can group them
-    /// onto one shared engine. On by default; the built engine is
-    /// observably equivalent either way (the conformance `normcheck`
-    /// oracle enforces it), but clause/answer *order* follows the
-    /// canonical form when enabled. When the normalized syntax fails to
-    /// localize, the build transparently falls back to the original query.
-    pub normalize: bool,
-    /// Build Step 5 acceptance and inclusion–exclusion counts at *clause*
-    /// granularity: each clause of the canonical normal form gets its own
-    /// fingerprint-keyed acceptance set in the [`ArtifactCache`] and its
-    /// own signed count in the per-core counting memo, so any two queries
-    /// sharing a clause — across a workload batch or across warm builds —
-    /// share that clause's work. Requires `normalize` (clause fingerprints
-    /// are properties of the canonical form); inert without a cache. Off
-    /// reproduces the whole-query-granular build exactly (the conformance
-    /// `clausecheck` oracle enforces that both settings are bit-identical).
-    pub clause_sharing: bool,
 }
 
 impl Default for EngineConfig {
@@ -75,8 +51,6 @@ impl Default for EngineConfig {
             ek_cost_limit: None,
             eager_skip_limit: None,
             warm_up: false,
-            normalize: true,
-            clause_sharing: true,
         }
     }
 }
@@ -97,8 +71,7 @@ impl EngineConfig {
 }
 
 /// What the query-rewrite normalization pass decided for one build
-/// (surfaced by `explain`; `None` on the engine when the pass was
-/// disabled via [`EngineConfig::normalize`]).
+/// (surfaced by `explain`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NormalizationInfo {
     /// The canonical fingerprint of the normal form — the per-query part
@@ -124,8 +97,7 @@ pub struct WorkloadStats {
     pub distinct_cores: usize,
     /// Distinct canonical clause fingerprints across the batch's normal
     /// forms — the unit of Step 5 sharing. Less than the total clause
-    /// count whenever queries overlap partially. Zero with
-    /// [`EngineConfig::normalize`] off (no canonical clauses exist).
+    /// count whenever queries overlap partially.
     pub distinct_clauses: usize,
     /// Clause-tier cache hits recorded over the whole batch (planner
     /// prebuilds plus per-query assemblies) — how often a clause's Step 5
@@ -149,8 +121,8 @@ pub struct Engine {
     /// The effective eager-machinery cost gates the build ran under
     /// (surfaced by `explain`).
     skip_limits: SkipLimits,
-    /// What the normalization pass did (`None` when disabled).
-    normalization: Option<NormalizationInfo>,
+    /// What the normalization pass did.
+    normalization: NormalizationInfo,
 }
 
 #[derive(Debug)]
@@ -167,80 +139,46 @@ enum EngineKind {
 }
 
 impl Engine {
-    /// Preprocess `query` over `structure` with the default eager skip
-    /// tables.
+    /// Preprocess `query` over `structure` with the default configuration
+    /// (eager skip tables, no cache); the worker-pool size comes from
+    /// `LOWDEG_THREADS`.
     pub fn build(structure: &Structure, query: &Query, eps: Epsilon) -> Result<Self, EngineError> {
-        Self::build_with(structure, query, eps, SkipMode::Eager)
+        let config = EngineConfig {
+            eps,
+            ..EngineConfig::default()
+        };
+        Self::build_configured(structure, query, &config, &ParConfig::from_env(), None)
     }
 
-    /// Preprocess with an explicit [`SkipMode`] (the E10 ablation). Thread
-    /// count comes from `LOWDEG_THREADS` (see
-    /// [`Engine::build_with_config`]).
-    pub fn build_with(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        mode: SkipMode,
-    ) -> Result<Self, EngineError> {
-        Self::build_with_config(structure, query, eps, mode, &ParConfig::from_env())
-    }
-
-    /// Preprocess with an explicit [`SkipMode`] and worker-pool
-    /// configuration. The *build* phase parallelizes (reduction, counting,
-    /// skip-table construction) and the built engine is identical for every
-    /// thread count. [`Engine::enumerate`] / [`Engine::for_each_answer`] /
+    /// The build entry point: preprocess `query` under `config` on the
+    /// worker pool `par`, optionally fed by a cross-build [`ArtifactCache`].
+    ///
+    /// The engine is built from the query's canonical normal form
+    /// ([`lowdeg_logic::normalize`]). Answer tuples align positionally with
+    /// the original query (free variables canonicalize in answer-column
+    /// order). Should the canonical syntax fail to localize, the build
+    /// retries the original query without the fingerprinted cache keys.
+    ///
+    /// With a cache, a warm build skips the *extract* stage — the whole
+    /// query-independent [`crate::ReductionCore`] (Gaifman graph, near-pair
+    /// store, cluster tuples, type interning, colored graph) — and Step 5
+    /// acceptance and inclusion–exclusion counts are shared at *clause*
+    /// granularity: each clause of the normal form gets its own
+    /// fingerprint-keyed acceptance set and signed count, so any two
+    /// queries sharing a clause share that clause's work, and rebuilding
+    /// any rewrite variant of a query skips both. The result is
+    /// bit-identical to an uncached build (the conformance `cachecheck`
+    /// and `clausecheck` oracles enforce this). Per-stage timings are
+    /// recorded in [`Engine::profile`].
+    ///
+    /// The *build* parallelizes (reduction, counting, skip-table
+    /// construction) and the built engine is identical for every thread
+    /// count. [`Engine::enumerate`] / [`Engine::for_each_answer`] /
     /// [`Engine::test`] stay single-threaded — the constant-delay and
     /// constant-time guarantees are per-operation RAM bounds that threads
     /// cannot (and must not) change; the sharded
     /// [`Engine::par_for_each_answer`] trades the delay guarantee for
     /// throughput while keeping the exact same answer order.
-    pub fn build_with_config(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        mode: SkipMode,
-        par: &ParConfig,
-    ) -> Result<Self, EngineError> {
-        Self::build_full(structure, query, eps, mode, par, None)
-    }
-
-    /// The full entry point: as [`Engine::build_with_config`], optionally
-    /// fed by a cross-build [`ArtifactCache`]. A warm cache skips the
-    /// *extract* stage of the reduction — the whole query-independent
-    /// [`crate::ReductionCore`] (Gaifman graph, near-pair store, cluster
-    /// tuples, type interning, colored graph) — leaving only the per-query
-    /// Step 5 acceptance pass; the resulting engine is bit-identical to a
-    /// cold build — the conformance `cachecheck` oracle enforces this.
-    /// Per-stage timings are recorded in [`Engine::profile`].
-    pub fn build_full(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        mode: SkipMode,
-        par: &ParConfig,
-        cache: Option<&ArtifactCache>,
-    ) -> Result<Self, EngineError> {
-        let config = EngineConfig {
-            skip_mode: mode,
-            eps,
-            ..EngineConfig::default()
-        };
-        Self::build_configured(structure, query, &config, par, cache)
-    }
-
-    /// The fully explicit entry point: as [`Engine::build_full`], driven by
-    /// an [`EngineConfig`] — the only way to override the eager-machinery
-    /// cost gates per engine, to request the post-build warm-up, or to
-    /// disable the query-rewrite normalization pass.
-    ///
-    /// With normalization on (the default), the engine is built from the
-    /// query's canonical normal form: the Step 5 acceptance product and
-    /// the whole-query count are then cached under the normal form's
-    /// fingerprint, so rebuilding any rewrite variant of the query against
-    /// a warm cache skips both. Answer tuples align positionally with the
-    /// original query (free variables canonicalize in answer-column
-    /// order). Should the canonical syntax fail to localize, the build
-    /// silently retries the original query uncached.
     pub fn build_configured(
         structure: &Structure,
         query: &Query,
@@ -248,71 +186,44 @@ impl Engine {
         par: &ParConfig,
         cache: Option<&ArtifactCache>,
     ) -> Result<Self, EngineError> {
-        if !config.normalize {
-            return Self::build_raw(structure, query, config, par, cache, None, None);
-        }
         let nf = normalize(query);
-        let info = NormalizationInfo {
+        let mut info = NormalizationInfo {
             fingerprint: nf.fingerprint,
             rewrites: nf.rewrite_names(),
             fallback: false,
         };
-        // Clause fingerprints are properties of the canonical form, so
-        // clause-granular sharing only applies on the canonical path.
-        let clause_fps: Vec<u64> = if config.clause_sharing {
-            nf.clauses.iter().map(|c| c.fingerprint).collect()
-        } else {
-            Vec::new()
-        };
-        match Self::build_raw(
-            structure,
-            &nf.query,
-            config,
-            par,
-            cache,
-            Some(nf.fingerprint),
-            config.clause_sharing.then_some(clause_fps.as_slice()),
-        ) {
-            Ok(mut engine) => {
-                engine.normalization = Some(info);
-                Ok(engine)
-            }
+        let clause_fps: Vec<u64> = nf.clauses.iter().map(|c| c.fingerprint).collect();
+        let keys = Some((nf.fingerprint, clause_fps.as_slice()));
+        match Self::build_raw(structure, &nf.query, config, par, cache, keys, info.clone()) {
             // Localizability is decided on syntax; a rewrite that merges or
             // reorders conjuncts can push a query off the syntactic
             // fragment the localizer accepts even though the original
             // parses through it. The original query is the user's contract
-            // — build it directly, without the fingerprinted cache key.
+            // — build it directly, without the fingerprinted cache keys.
             Err(EngineError::Localize(_)) if !nf.is_trivial() => {
-                let mut engine = Self::build_raw(structure, query, config, par, cache, None, None)?;
-                engine.normalization = Some(NormalizationInfo {
-                    fallback: true,
-                    ..info
-                });
-                Ok(engine)
+                info.fallback = true;
+                Self::build_raw(structure, query, config, par, cache, None, info)
             }
-            Err(e) => Err(e),
+            result => result,
         }
     }
 
-    /// The normalization-free inner build. `query_fp` is the normal form's
-    /// fingerprint when `query` *is* a canonical normal form (it keys the
-    /// Step 5 product and whole-query-count caches); `None` builds the
-    /// query as written with per-core caching only. `clause_fps` carries
-    /// the canonical per-clause fingerprints when clause-granular sharing
-    /// is on — the reduction then stitches its Step 5 product from
-    /// clause-keyed cache entries and the count sums clause-memoized
-    /// combination counts, both bit-identical to the monolithic passes.
+    /// The inner build of `query` as written. `keys` carries the normal
+    /// form's fingerprint and its per-clause fingerprints when `query`
+    /// *is* that canonical normal form: the reduction then stitches its
+    /// Step 5 product from clause-keyed cache entries and the count sums
+    /// clause-memoized combination counts, both bit-identical to the
+    /// monolithic passes. `None` builds with per-core caching only.
     fn build_raw(
         structure: &Structure,
         query: &Query,
         config: &EngineConfig,
         par: &ParConfig,
         cache: Option<&ArtifactCache>,
-        query_fp: Option<u64>,
-        clause_fps: Option<&[u64]>,
+        keys: Option<(u64, &[u64])>,
+        normalization: NormalizationInfo,
     ) -> Result<Self, EngineError> {
         let eps = config.eps;
-        let mode = config.skip_mode;
         let limits = config.skip_limits();
         let arity = query.arity();
         if arity == 0 {
@@ -322,9 +233,10 @@ impl Engine {
                 kind: EngineKind::Sentence { truth },
                 profile: BuildProfile::default(),
                 skip_limits: limits,
-                normalization: None,
+                normalization,
             });
         }
+        let query_fp = keys.map(|(fp, _)| fp);
         let profiler = Profiler::new();
         let reduction = Reduction::build_clause_keyed(
             structure,
@@ -335,7 +247,7 @@ impl Engine {
             cache,
             &profiler,
             query_fp,
-            clause_fps,
+            keys.map(|(_, fps)| fps),
         )?;
         // The E-adjacency CSR is part of the reduction core (and so of the
         // cached extract product): counting, enumeration and the test
@@ -367,35 +279,20 @@ impl Engine {
             _ => None,
         };
         let count = memoized.unwrap_or_else(|| {
+            // Clause-granular counting: each graph clause realizes one
+            // (partition, types) combination, so clause answer sets are
+            // disjoint and the query count is the sum of per-clause counts
+            // — memoized under the clause's packed signature so queries
+            // sharing a combination share its signed count.
             let c = profiler.time(Stage::IeCount, || {
-                // Clause-granular counting: each graph clause realizes one
-                // (partition, types) combination, so clause answer sets are
-                // disjoint and the query count is the sum of per-clause
-                // counts — memoized under the clause's packed signature so
-                // queries sharing a combination share its signed count.
-                match &memo {
-                    Some(m)
-                        if config.clause_sharing
-                            && reduction.clause_signatures().len()
-                                == reduction.query().clauses.len() =>
-                    {
-                        count_graph_query_with_combo_memo(
-                            reduction.graph(),
-                            reduction.query(),
-                            reduction.clause_signatures(),
-                            &adjacency,
-                            par,
-                            m,
-                        )
-                    }
-                    _ => count_graph_query_with_adjacency_memo(
-                        reduction.graph(),
-                        reduction.query(),
-                        &adjacency,
-                        par,
-                        memo.as_deref(),
-                    ),
-                }
+                count_graph_query_with_combo_memo(
+                    reduction.graph(),
+                    reduction.query(),
+                    reduction.clause_signatures(),
+                    &adjacency,
+                    par,
+                    memo.as_deref(),
+                )
                 .expect("reduced clauses are well-formed generalized conjunctions")
             });
             if let (Some(m), Some(fp)) = (&memo, query_fp) {
@@ -418,7 +315,7 @@ impl Engine {
             reduction.graph(),
             reduction.query(),
             adjacency,
-            mode,
+            config.skip_mode,
             eps,
             limits,
             par,
@@ -438,32 +335,8 @@ impl Engine {
             },
             profile: profiler.snapshot(),
             skip_limits: limits,
-            normalization: None,
+            normalization,
         })
-    }
-
-    /// Batch-build one engine per query against a single structure,
-    /// sharing every cross-query artifact through `cache`: the Gaifman
-    /// graph, the query-independent [`crate::ReductionCore`] per distinct
-    /// `(r, k)`, and — the batch-specific win — the per-core
-    /// [`crate::counting::CountingMemo`], so a lattice component counted
-    /// for one query is a probe hit for every later query realizing the
-    /// same color combination. Each engine is bit-identical to what
-    /// [`Engine::build_full`] would produce for its query alone (with or
-    /// without a cache) — the conformance `memocheck` oracle enforces
-    /// this. Queries build in order; the first error aborts the batch.
-    pub fn build_many(
-        structure: &Structure,
-        queries: &[&Query],
-        eps: Epsilon,
-        mode: SkipMode,
-        par: &ParConfig,
-        cache: &ArtifactCache,
-    ) -> Result<Vec<Self>, EngineError> {
-        queries
-            .iter()
-            .map(|q| Self::build_full(structure, q, eps, mode, par, Some(cache)))
-            .collect()
     }
 
     /// The workload planner: batch-build engines for `queries`, grouping
@@ -475,31 +348,25 @@ impl Engine {
     /// syntax, so the group shares **one** engine: its Step 5 acceptance,
     /// count, and enumeration plans are built exactly once. Counts, answer
     /// order, and membership tests are bit-identical to what
-    /// [`Engine::build_configured`] would produce per query.
-    ///
-    /// Supersedes [`Engine::build_many`], which still builds one engine
-    /// per query (sharing only the reduction core and counting memo).
-    /// With [`EngineConfig::normalize`] off — or for queries that fall
-    /// back to their original syntax (localize failure) — no grouping
-    /// happens and every query gets its own engine.
+    /// [`Engine::build_configured`] would produce per query. Queries that
+    /// fall back to their original syntax (localize failure) get an
+    /// engine of their own.
     ///
     /// Returns one `Arc<Engine>` per query, in query order (group members
     /// alias the same engine), plus the sharing statistics. Queries build
     /// in order; the first error aborts the batch.
     ///
-    /// With [`EngineConfig::clause_sharing`] on (the default) the batch
-    /// runs through a two-phase planner. **Phase 1** decomposes the batch:
-    /// every query normalizes once, rewrite variants group by canonical
-    /// fingerprint, and the distinct canonical *clauses* are collected
-    /// with their cross-group sharing structure. **Phase 2** schedules
-    /// the shared clauses (those appearing in ≥ 2 distinct groups) by a
-    /// cost model — the core's partition × type combination total
-    /// weighted by the clause matrix size — and pre-builds each exactly
-    /// once, largest-first, into the cache's clause tier on the worker
-    /// pool. The per-query assemblies then stitch the cached clause
+    /// The batch runs through a two-phase planner. **Phase 1** decomposes
+    /// the batch: every query normalizes once, rewrite variants group by
+    /// canonical fingerprint, and the distinct canonical *clauses* are
+    /// collected with their cross-group sharing structure. **Phase 2**
+    /// schedules the shared clauses (those appearing in ≥ 2 distinct
+    /// groups) by a cost model — the core's partition × type combination
+    /// total weighted by the clause matrix size — and pre-builds each
+    /// exactly once, largest-first, into the cache's clause tier on the
+    /// worker pool. The per-query assemblies then stitch the cached clause
     /// artifacts instead of re-running the overlapping Step 5 work, and
-    /// their counts sum clause-memoized combination counts. Every engine
-    /// stays bit-identical to its solo [`Engine::build_configured`] build.
+    /// their counts sum clause-memoized combination counts.
     pub fn build_workload(
         structure: &Structure,
         queries: &[&Query],
@@ -514,28 +381,18 @@ impl Engine {
         // group rewrite variants by canonical fingerprint (first
         // occurrence is the group's representative), and collect the
         // distinct-clause set with its cross-group multiplicities.
-        let nfs: Vec<Option<lowdeg_logic::NormalForm>> = queries
-            .iter()
-            .map(|q| config.normalize.then(|| normalize(q)))
-            .collect();
+        let nfs: Vec<NormalForm> = queries.iter().map(|q| normalize(q)).collect();
         let mut group_of: HashMap<u64, usize> = HashMap::new();
         let mut groups: Vec<usize> = Vec::new(); // representative query index
         for (i, nf) in nfs.iter().enumerate() {
-            if let Some(nf) = nf {
-                group_of.entry(nf.fingerprint).or_insert_with(|| {
-                    groups.push(i);
-                    groups.len() - 1
-                });
-            }
+            group_of.entry(nf.fingerprint).or_insert_with(|| {
+                groups.push(i);
+                groups.len() - 1
+            });
         }
         let per_group_fps: Vec<Vec<u64>> = groups
             .iter()
-            .map(|&rep| {
-                let nf = nfs[rep]
-                    .as_ref()
-                    .expect("groups only form when normalizing");
-                nf.clauses.iter().map(|c| c.fingerprint).collect()
-            })
+            .map(|&rep| nfs[rep].clauses.iter().map(|c| c.fingerprint).collect())
             .collect();
         let mut multiplicity: HashMap<u64, usize> = HashMap::new();
         let mut distinct_clause_set: BTreeSet<u64> = BTreeSet::new();
@@ -557,54 +414,60 @@ impl Engine {
         // artifacts land in the clause tier before any per-query assembly
         // could rebuild them, and a capacity-bounded cache evicts the
         // cheap ones first.
-        if config.normalize && config.clause_sharing {
-            // (radius, k) → per-group clause indices to prebuild, plus the
-            // bucket's total modeled cost for the largest-first ordering.
-            let mut buckets: ClauseBuckets = BTreeMap::new();
-            let mut planned: BTreeSet<u64> = BTreeSet::new();
-            for (gi, &rep) in groups.iter().enumerate() {
-                let nf = nfs[rep].as_ref().expect("normalized group");
-                let fps = &per_group_fps[gi];
-                let Some(plan) =
-                    Reduction::clause_plan(structure, &nf.query, config.eps, par, cache, fps.len())
-                else {
-                    // Doesn't localize (or misaligns): the per-query build
-                    // below reports or absorbs it; nothing to share here.
-                    continue;
-                };
-                for (ci, (&fp, &cost)) in fps.iter().zip(&plan.costs).enumerate() {
-                    if multiplicity.get(&fp).copied().unwrap_or(0) >= 2 && planned.insert(fp) {
-                        let bucket = buckets
-                            .entry((plan.radius, plan.k))
-                            .or_insert_with(|| (0, BTreeMap::new()));
-                        bucket.0 = bucket.0.saturating_add(cost);
-                        bucket.1.entry(gi).or_default().push(ci);
-                    }
+        //
+        // (radius, k) → per-group clause indices to prebuild, plus the
+        // bucket's total modeled cost for the largest-first ordering.
+        let mut buckets: ClauseBuckets = BTreeMap::new();
+        let mut planned: BTreeSet<u64> = BTreeSet::new();
+        for (gi, &rep) in groups.iter().enumerate() {
+            let fps = &per_group_fps[gi];
+            let Some(plan) = Reduction::clause_plan(
+                structure,
+                &nfs[rep].query,
+                config.eps,
+                par,
+                cache,
+                fps.len(),
+            ) else {
+                // Doesn't localize (or misaligns): the per-query build
+                // below reports or absorbs it; nothing to share here.
+                continue;
+            };
+            for (ci, (&fp, &cost)) in fps.iter().zip(&plan.costs).enumerate() {
+                if multiplicity.get(&fp).copied().unwrap_or(0) >= 2 && planned.insert(fp) {
+                    let bucket = buckets
+                        .entry((plan.radius, plan.k))
+                        .or_insert_with(|| (0, BTreeMap::new()));
+                    bucket.0 = bucket.0.saturating_add(cost);
+                    bucket.1.entry(gi).or_default().push(ci);
                 }
             }
-            let mut ordered: Vec<_> = buckets.into_iter().collect();
-            ordered.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(&b.0)));
-            for (key, (_, by_group)) in ordered {
-                let jobs: Vec<(&lowdeg_logic::Query, &[u64], Vec<usize>)> = by_group
-                    .into_iter()
-                    .map(|(gi, indices)| {
-                        let nf = nfs[groups[gi]].as_ref().expect("normalized group");
-                        (&nf.query, per_group_fps[gi].as_slice(), indices)
-                    })
-                    .collect();
-                // A failing prebuild (budget, localization) is not the
-                // planner's to report — the per-query build surfaces it
-                // with its query attached.
-                let _ = Reduction::prebuild_clause_batch(
-                    structure,
-                    config.eps,
-                    DEFAULT_COMBINATION_BUDGET,
-                    par,
-                    cache,
-                    key,
-                    &jobs,
-                );
-            }
+        }
+        let mut ordered: Vec<_> = buckets.into_iter().collect();
+        ordered.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(&b.0)));
+        for (key, (_, by_group)) in ordered {
+            let jobs: Vec<(&Query, &[u64], Vec<usize>)> = by_group
+                .into_iter()
+                .map(|(gi, indices)| {
+                    (
+                        &nfs[groups[gi]].query,
+                        per_group_fps[gi].as_slice(),
+                        indices,
+                    )
+                })
+                .collect();
+            // A failing prebuild (budget, localization) is not the
+            // planner's to report — the per-query build surfaces it with
+            // its query attached.
+            let _ = Reduction::prebuild_clause_batch(
+                structure,
+                config.eps,
+                DEFAULT_COMBINATION_BUDGET,
+                par,
+                cache,
+                key,
+                &jobs,
+            );
         }
 
         // --- Per-query assembly: build each distinct group once (clause
@@ -614,35 +477,25 @@ impl Engine {
         let mut engines: Vec<Arc<Engine>> = Vec::with_capacity(queries.len());
         let mut distinct = 0usize;
         for (query, nf) in queries.iter().zip(&nfs) {
-            if let Some(nf) = nf {
-                if let Some(engine) = shared.get(&nf.fingerprint) {
-                    engines.push(Arc::clone(engine));
-                    continue;
-                }
-                let engine = Arc::new(Self::build_configured(
-                    structure,
-                    query,
-                    config,
-                    par,
-                    Some(cache),
-                )?);
-                distinct += 1;
-                // A fallback engine was built from *this* query's original
-                // syntax; another variant's enumeration order could
-                // legitimately differ, so it is not shared with the group.
-                let sharable = engine
-                    .normalization
-                    .as_ref()
-                    .is_some_and(|info| !info.fallback);
-                if sharable {
-                    shared.insert(nf.fingerprint, Arc::clone(&engine));
-                }
-                engines.push(engine);
-            } else {
-                let engine = Self::build_configured(structure, query, config, par, Some(cache))?;
-                distinct += 1;
-                engines.push(Arc::new(engine));
+            if let Some(engine) = shared.get(&nf.fingerprint) {
+                engines.push(Arc::clone(engine));
+                continue;
             }
+            let engine = Arc::new(Self::build_configured(
+                structure,
+                query,
+                config,
+                par,
+                Some(cache),
+            )?);
+            distinct += 1;
+            // A fallback engine was built from *this* query's original
+            // syntax; another variant's enumeration order could
+            // legitimately differ, so it is not shared with the group.
+            if !engine.normalization.fallback {
+                shared.insert(nf.fingerprint, Arc::clone(&engine));
+            }
+            engines.push(engine);
         }
         Ok((
             engines,
@@ -655,10 +508,9 @@ impl Engine {
         ))
     }
 
-    /// What the query-rewrite normalization pass did for this build
-    /// (`None` when the pass was disabled, or for engines predating it).
-    pub fn normalization(&self) -> Option<&NormalizationInfo> {
-        self.normalization.as_ref()
+    /// What the query-rewrite normalization pass did for this build.
+    pub fn normalization(&self) -> &NormalizationInfo {
+        &self.normalization
     }
 
     /// Per-stage build timings (`extract → reduce → ie-count → fixpoint →
@@ -695,11 +547,13 @@ impl Engine {
                             if let Ok(reduction) =
                                 Reduction::build(structure, &inner, Epsilon::default_eps())
                             {
-                                let count = count_graph_query_with_adjacency(
+                                let count = count_graph_query_with_combo_memo(
                                     reduction.graph(),
                                     reduction.query(),
+                                    reduction.clause_signatures(),
                                     reduction.adjacency(),
                                     &ParConfig::serial(),
+                                    None,
                                 )
                                 .expect("reduced clauses are well-formed");
                                 return Ok(count > 0);
@@ -1220,6 +1074,16 @@ mod tests {
         assert_eq!(plan.tasks(), 0);
     }
 
+    /// A cacheless build with the given skip mode at ε = 0.5.
+    fn build_mode(s: &Structure, q: &Query, mode: SkipMode) -> Result<Engine, EngineError> {
+        let config = EngineConfig {
+            skip_mode: mode,
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        };
+        Engine::build_configured(s, q, &config, &ParConfig::from_env(), None)
+    }
+
     fn check_engine(seed: u64, n: usize, src: &str) {
         let s = ColoredGraphSpec::balanced(n, DegreeClass::Bounded(3)).generate(seed);
         let q = parse_query(s.signature(), src).unwrap();
@@ -1227,7 +1091,7 @@ mod tests {
         let oracle_set: BTreeSet<Vec<Node>> = oracle.iter().cloned().collect();
 
         for mode in [SkipMode::Eager, SkipMode::Lazy] {
-            let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), mode).unwrap();
+            let engine = build_mode(&s, &q, mode).unwrap();
             assert_eq!(
                 engine.count(),
                 oracle.len() as u64,
@@ -1293,7 +1157,7 @@ mod tests {
     }
 
     #[test]
-    fn build_many_matches_individual_builds() {
+    fn shared_cache_builds_match_individual_builds() {
         let s = ColoredGraphSpec::balanced(40, DegreeClass::Bounded(3)).generate(7);
         let sources = [
             "B(x) & R(y) & !E(x, y)",
@@ -1304,18 +1168,22 @@ mod tests {
             .iter()
             .map(|src| parse_query(s.signature(), src).unwrap())
             .collect();
-        let refs: Vec<&lowdeg_logic::Query> = queries.iter().collect();
         let cache = crate::ArtifactCache::new();
         let par = ParConfig::serial();
-        let batch = Engine::build_many(&s, &refs, Epsilon::new(0.5), SkipMode::Eager, &par, &cache)
-            .unwrap();
-        assert_eq!(batch.len(), queries.len());
+        let config = EngineConfig {
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        };
+        let batch: Vec<Engine> = queries
+            .iter()
+            .map(|q| Engine::build_configured(&s, q, &config, &par, Some(&cache)).unwrap())
+            .collect();
         for (engine, q) in batch.iter().zip(&queries) {
-            let solo = Engine::build_with(&s, q, Epsilon::new(0.5), SkipMode::Eager).unwrap();
+            let solo = build_mode(&s, q, SkipMode::Eager).unwrap();
             assert_eq!(engine.count(), solo.count());
             let a: Vec<Vec<Node>> = engine.enumerate().collect();
             let b: Vec<Vec<Node>> = solo.enumerate().collect();
-            assert_eq!(a, b, "batched build must be observably identical");
+            assert_eq!(a, b, "shared-cache build must be observably identical");
         }
         // the batch shared one core (one miss, then hits) and its memo
         let (hits, _misses) = cache.stats();
@@ -1365,29 +1233,19 @@ mod tests {
             let b: Vec<Vec<Node>> = solo.enumerate().collect();
             assert_eq!(a, b, "workload answers must match the solo build");
         }
-        // and observably equivalent to normalization-free builds
-        let raw_cfg = EngineConfig {
-            normalize: false,
-            ..config
-        };
+        // and each answer set is the naive oracle's for the query as
+        // written
         for (engine, q) in engines.iter().zip(&queries) {
-            let raw = Engine::build_configured(&s, q, &raw_cfg, &par, None).unwrap();
-            assert!(raw.normalization().is_none());
-            assert_eq!(engine.count(), raw.count());
-            assert_eq!(engine.enumerate_sorted(), raw.enumerate_sorted());
+            let mut oracle = answers_naive(&s, q);
+            oracle.sort_unstable();
+            assert_eq!(engine.count(), oracle.len() as u64);
+            assert_eq!(engine.enumerate_sorted(), oracle);
         }
         // normalization info is surfaced, with a stable fingerprint across
         // the group
-        let info = engines[0].normalization().expect("normalize on");
+        let info = engines[0].normalization();
         assert!(!info.fallback);
-        let other = engines[3].normalization().unwrap();
-        assert_ne!(info.fingerprint, other.fingerprint);
-        // with normalization off, nothing groups
-        let (raw_engines, raw_stats) =
-            Engine::build_workload(&s, &refs, &raw_cfg, &par, &crate::ArtifactCache::new())
-                .unwrap();
-        assert_eq!(raw_stats.distinct_cores, 4);
-        assert!(!Arc::ptr_eq(&raw_engines[0], &raw_engines[1]));
+        assert_ne!(info.fingerprint, engines[3].normalization().fingerprint);
     }
 
     #[test]
@@ -1398,11 +1256,14 @@ mod tests {
         let v = parse_query(s.signature(), "B(x) & !E(x, y) & !!R(y)").unwrap();
         let cache = crate::ArtifactCache::new();
         let par = ParConfig::serial();
-        let eps = Epsilon::new(0.5);
-        let cold = Engine::build_full(&s, &q, eps, SkipMode::Eager, &par, Some(&cache)).unwrap();
+        let config = EngineConfig {
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        };
+        let cold = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
         assert!(cold.profile().nanos(Stage::IeCount) > 0);
         let (hits_before, _, _) = cache.counting_stats();
-        let warm = Engine::build_full(&s, &v, eps, SkipMode::Eager, &par, Some(&cache)).unwrap();
+        let warm = Engine::build_configured(&s, &v, &config, &par, Some(&cache)).unwrap();
         assert_eq!(warm.count(), cold.count());
         assert_eq!(
             warm.profile().nanos(Stage::IeCount),
@@ -1427,7 +1288,7 @@ mod tests {
         ] {
             let q = parse_query(s.signature(), src).unwrap();
             for mode in [SkipMode::Eager, SkipMode::Lazy] {
-                let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), mode).unwrap();
+                let engine = build_mode(&s, &q, mode).unwrap();
                 let serial: Vec<Vec<Node>> = engine.enumerate().collect();
                 assert_eq!(
                     engine.par_enumerate(&forced),

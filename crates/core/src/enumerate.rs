@@ -768,35 +768,11 @@ pub struct ClausePlan {
 }
 
 impl ClausePlan {
-    /// Preprocess one clause.
-    pub fn build(
-        graph: &Structure,
-        gq: &GraphQuery,
-        clause: &GraphClause,
-        adjacency: &EdgeAdjacency,
-        mode: SkipMode,
-        eps: Epsilon,
-        par: &ParConfig,
-    ) -> Self {
-        Self::build_full(
-            graph,
-            gq,
-            clause,
-            adjacency,
-            mode,
-            eps,
-            SkipLimits::from_env(),
-            par,
-            &Profiler::new(),
-            &PositionMemo::new(),
-        )
-    }
-
-    /// As [`ClausePlan::build`], recording `fixpoint` / `skip-tables` stage
+    /// Preprocess one clause, recording `fixpoint` / `skip-tables` stage
     /// timings in `profiler` (cumulative across levels; on a multi-thread
     /// pool, concurrent levels sum their task times).
     #[allow(clippy::too_many_arguments)]
-    pub fn build_full(
+    pub fn build(
         graph: &Structure,
         gq: &GraphQuery,
         clause: &GraphClause,
@@ -1299,42 +1275,10 @@ pub struct Enumerator {
 }
 
 impl Enumerator {
-    /// Preprocess every clause of the reduced query, with the thread count
-    /// taken from `LOWDEG_THREADS` (see [`Enumerator::build_with_config`]).
+    /// Preprocess every clause of the reduced query with the default cost
+    /// gates, building its own `E`-adjacency; the thread count comes from
+    /// `LOWDEG_THREADS`.
     pub fn build(graph: &Structure, gq: &GraphQuery, mode: SkipMode, eps: Epsilon) -> Self {
-        Self::build_with_config(graph, gq, mode, eps, &ParConfig::from_env())
-    }
-
-    /// Preprocess every clause of the reduced query, running per-clause plan
-    /// construction (and the inner `E_k` / skip-table passes) on the given
-    /// worker pool. Parallel and serial builds produce identical plans;
-    /// enumeration through [`Enumerator::stream`] is single-threaded (the
-    /// delay-accounted reference path), while the engine's parallel answer
-    /// path (`Engine::par_for_each_answer`) runs [`ClausePlan::iter_slice`]
-    /// cursors as ordered streaming tasks on the same pool.
-    pub fn build_with_config(
-        graph: &Structure,
-        gq: &GraphQuery,
-        mode: SkipMode,
-        eps: Epsilon,
-        par: &ParConfig,
-    ) -> Self {
-        Self::build_full(graph, gq, mode, eps, par, &Profiler::new())
-    }
-
-    /// As [`Enumerator::build_with_config`], recording the `fixpoint` and
-    /// `skip-tables` stage timings in `profiler`. The profiler is shared
-    /// across the par-mapped clause builds ([`Profiler`] is atomic), so on a
-    /// multi-thread pool the recorded nanos are cumulative task time, not
-    /// wall time.
-    pub fn build_full(
-        graph: &Structure,
-        gq: &GraphQuery,
-        mode: SkipMode,
-        eps: Epsilon,
-        par: &ParConfig,
-        profiler: &Profiler,
-    ) -> Self {
         let adjacency = Arc::new(EdgeAdjacency::build(graph, gq.edge));
         Self::build_full_with_adjacency(
             graph,
@@ -1343,16 +1287,29 @@ impl Enumerator {
             mode,
             eps,
             SkipLimits::from_env(),
-            par,
-            profiler,
+            &ParConfig::from_env(),
+            &Profiler::new(),
             None,
         )
     }
 
-    /// As [`Enumerator::build_full`], adopting a caller-built `E`-adjacency
-    /// instead of constructing one, and explicit eager-machinery cost gates
-    /// (see [`SkipLimits`]). The engine shares a single CSR between the
-    /// ie-count stage and the enumerator.
+    /// The build entry point: preprocess every clause of the reduced query
+    /// on the given worker pool, adopting a caller-built `E`-adjacency (the
+    /// engine shares a single CSR between the ie-count stage and the
+    /// enumerator) under explicit eager-machinery cost gates (see
+    /// [`SkipLimits`]). `positions` is an optional cache-held
+    /// [`PositionMemo`] shared by every engine built against the same core.
+    ///
+    /// Per-clause plan construction (and the inner `E_k` / skip-table
+    /// passes) runs on the pool; parallel and serial builds produce
+    /// identical plans. Enumeration through [`Enumerator::stream`] is
+    /// single-threaded (the delay-accounted reference path), while the
+    /// engine's parallel answer path (`Engine::par_for_each_answer`) runs
+    /// [`ClausePlan::iter_slice`] cursors as ordered streaming tasks on the
+    /// same pool. The `fixpoint` and `skip-tables` stage timings land in
+    /// `profiler`, which is shared across the par-mapped clause builds
+    /// ([`Profiler`] is atomic), so on a multi-thread pool the recorded
+    /// nanos are cumulative task time, not wall time.
     #[allow(clippy::too_many_arguments)]
     pub fn build_full_with_adjacency(
         graph: &Structure,
@@ -1371,7 +1328,7 @@ impl Enumerator {
         let local = PositionMemo::new();
         let positions = positions.unwrap_or(&local);
         let plans = par_map(par, &gq.clauses, |c| {
-            ClausePlan::build_full(
+            ClausePlan::build(
                 graph, gq, c, &adjacency, mode, eps, limits, par, profiler, positions,
             )
         });

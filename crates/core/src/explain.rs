@@ -14,9 +14,8 @@ use std::fmt;
 pub struct Explain {
     /// Query arity.
     pub arity: usize,
-    /// What the query-rewrite normalization pass decided (`None` when the
-    /// pass was disabled via `EngineConfig::normalize`).
-    pub normalization: Option<NormalizationInfo>,
+    /// What the query-rewrite normalization pass decided.
+    pub normalization: NormalizationInfo,
     /// `None` for sentences (decided at build time).
     pub reduction: Option<ReductionReport>,
     /// Precomputed answer count.
@@ -197,7 +196,7 @@ impl Engine {
         });
         Explain {
             arity: self.arity(),
-            normalization: self.normalization().cloned(),
+            normalization: self.normalization().clone(),
             reduction,
             count: self.count(),
             profile: self.profile().clone(),
@@ -210,24 +209,23 @@ impl Engine {
 impl fmt::Display for Explain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "arity: {}", self.arity)?;
-        if let Some(n) = &self.normalization {
-            let rewrites = if n.rewrites.is_empty() {
-                "none (already canonical)".to_string()
+        let n = &self.normalization;
+        let rewrites = if n.rewrites.is_empty() {
+            "none (already canonical)".to_string()
+        } else {
+            n.rewrites.join(", ")
+        };
+        writeln!(f, "normalization: {rewrites}")?;
+        writeln!(
+            f,
+            "canonical fingerprint: {:016x}{}",
+            n.fingerprint,
+            if n.fallback {
+                " (localize fallback: built from original syntax, uncached)"
             } else {
-                n.rewrites.join(", ")
-            };
-            writeln!(f, "normalization: {rewrites}")?;
-            writeln!(
-                f,
-                "canonical fingerprint: {:016x}{}",
-                n.fingerprint,
-                if n.fallback {
-                    " (localize fallback: built from original syntax, uncached)"
-                } else {
-                    " (Step 5 / count cache key)"
-                }
-            )?;
-        }
+                " (Step 5 / count cache key)"
+            }
+        )?;
         writeln!(f, "answers: {}", self.count)?;
         match &self.reduction {
             None => writeln!(f, "sentence: decided during preprocessing")?,
@@ -408,15 +406,18 @@ mod tests {
 
     #[test]
     fn explain_with_cache_reports_counters() {
-        use crate::{ArtifactCache, SkipMode};
+        use crate::{ArtifactCache, EngineConfig};
         use lowdeg_par::ParConfig;
         let s = ColoredGraphSpec::balanced(40, DegreeClass::Bounded(3)).generate(61);
         let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
         let cache = ArtifactCache::with_capacity(8);
         let par = ParConfig::serial();
-        let eps = Epsilon::new(0.5);
-        let _first = Engine::build_full(&s, &q, eps, SkipMode::Eager, &par, Some(&cache)).unwrap();
-        let warm = Engine::build_full(&s, &q, eps, SkipMode::Eager, &par, Some(&cache)).unwrap();
+        let config = EngineConfig {
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        };
+        let _first = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
+        let warm = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
         let ex = warm.explain_with_cache(&cache);
         let c = ex.cache.as_ref().expect("cache report");
         assert_eq!(c.capacity, 8);

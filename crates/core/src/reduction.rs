@@ -260,94 +260,55 @@ pub struct CoreDigest {
 }
 
 impl Reduction {
-    /// Run the full preprocessing. `φ` must have arity ≥ 1 and be
-    /// localizable. Thread count comes from `LOWDEG_THREADS` (see
-    /// [`Reduction::build_with_config`]).
+    /// Run the full preprocessing with the default type-combination
+    /// budget, no cache and no profiler. `φ` must have arity ≥ 1 and be
+    /// localizable. Thread count comes from `LOWDEG_THREADS`.
     pub fn build(structure: &Structure, query: &Query, eps: Epsilon) -> Result<Self, EngineError> {
-        Self::build_with_budget(structure, query, eps, DEFAULT_COMBINATION_BUDGET)
+        Self::build_clause_keyed(
+            structure,
+            query,
+            eps,
+            DEFAULT_COMBINATION_BUDGET,
+            &ParConfig::from_env(),
+            None,
+            &Profiler::new(),
+            None,
+            None,
+        )
     }
 
-    /// As [`Reduction::build`], with an explicit type-combination budget.
-    pub fn build_with_budget(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        budget: u64,
-    ) -> Result<Self, EngineError> {
-        Self::build_with_config(structure, query, eps, budget, &ParConfig::from_env())
-    }
-
-    /// As [`Reduction::build_full`] without a cache or profiler.
-    pub fn build_with_config(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        budget: u64,
-        par: &ParConfig,
-    ) -> Result<Self, EngineError> {
-        Self::build_full(structure, query, eps, budget, par, None, &Profiler::new())
-    }
-
-    /// The full entry point: explicit budget, an explicit worker-pool
-    /// configuration, an optional cross-build [`ArtifactCache`], and a
-    /// [`Profiler`] receiving the `extract` / `reduce` stage timings.
+    /// The build entry point: explicit type-combination budget, an
+    /// explicit worker-pool configuration, an optional cross-build
+    /// [`ArtifactCache`], and a [`Profiler`] receiving the `extract` /
+    /// `reduce` stage timings.
     ///
     /// The parallel passes (cluster-tuple enumeration, canonical encoding,
     /// `E`-edge generation) are order-preserving, so the result is identical
     /// for every thread count — and identical with or without a cache: the
-    /// cache only memoizes the query-independent [`ReductionCore`] (Gaifman
+    /// cache memoizes the query-independent [`ReductionCore`] (Gaifman
     /// graph, near-pair store, cluster vertices with interned types, the
     /// colored graph `G`), which is itself a deterministic function of the
     /// structure content and `(r, k, ε)`.
-    pub fn build_full(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        budget: u64,
-        par: &ParConfig,
-        cache: Option<&ArtifactCache>,
-        profiler: &Profiler,
-    ) -> Result<Self, EngineError> {
-        Self::build_keyed(structure, query, eps, budget, par, cache, profiler, None)
-    }
-
-    /// As [`Reduction::build_full`], additionally keyed by the query's
-    /// *normalized fingerprint* (`lowdeg_logic::NormalForm::fingerprint`).
-    /// With both a cache and a fingerprint, the per-query Step 5 acceptance
-    /// product is memoized under `(core key, fingerprint)` — rewrite
-    /// variants of one query (and repeated builds of the same query) skip
-    /// the acceptance pass entirely. `None` preserves the uncached per-call
-    /// behavior; the result is bit-identical either way.
     ///
-    /// Contract: when `query_fp` is `Some`, `query` must be the *canonical*
-    /// query of that fingerprint (the [`lowdeg_logic::normalize`] output),
-    /// so every caller probing the same key would build the same product.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_keyed(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        budget: u64,
-        par: &ParConfig,
-        cache: Option<&ArtifactCache>,
-        profiler: &Profiler,
-        query_fp: Option<u64>,
-    ) -> Result<Self, EngineError> {
-        Self::build_clause_keyed(
-            structure, query, eps, budget, par, cache, profiler, query_fp, None,
-        )
-    }
-
-    /// As [`Reduction::build_keyed`], additionally carrying the query's
-    /// per-clause canonical fingerprints (`NormalForm::clauses`, in clause
-    /// order). With a cache, each clause's Step 5 acceptance set is then
-    /// memoized under `(cluster key, clause fingerprint)` — queries that
-    /// share a clause (across a workload batch or across warm builds)
-    /// share its acceptance work, and the whole-query product is stitched
-    /// from the per-clause sets bit-identically to the monolithic pass.
+    /// `query_fp` is the query's *normalized fingerprint*
+    /// (`lowdeg_logic::NormalForm::fingerprint`). With both a cache and a
+    /// fingerprint, the per-query Step 5 acceptance product is memoized
+    /// under `(core key, fingerprint)` — rewrite variants of one query (and
+    /// repeated builds of the same query) skip the acceptance pass
+    /// entirely. Contract: when `query_fp` is `Some`, `query` must be the
+    /// *canonical* query of that fingerprint (the [`lowdeg_logic::normalize`]
+    /// output), so every caller probing the same key builds the same
+    /// product.
     ///
-    /// `clause_fps` is advisory: if its length doesn't match the localized
-    /// clause decomposition (or it is `None`), the monolithic path runs.
+    /// `clause_fps` carries the query's per-clause canonical fingerprints
+    /// (`NormalForm::clauses`, in clause order). With a cache, each
+    /// clause's Step 5 acceptance set is then memoized under `(cluster key,
+    /// clause fingerprint)` — queries that share a clause (across a
+    /// workload batch or across warm builds) share its acceptance work, and
+    /// the whole-query product is stitched from the per-clause sets
+    /// bit-identically to the monolithic pass. `clause_fps` is advisory: if
+    /// its length doesn't match the localized clause decomposition (or it
+    /// is `None`), the monolithic path runs.
     #[allow(clippy::too_many_arguments)]
     pub fn build_clause_keyed(
         structure: &Structure,
@@ -2404,9 +2365,18 @@ mod tests {
             let s = small(seed);
             for src in ["B(x) & R(y) & !E(x, y)", "exists z. E(x, z) & E(z, y)"] {
                 let q = parse_query(s.signature(), src).unwrap();
-                let radix =
-                    Reduction::build_with_config(&s, &q, eps(), DEFAULT_COMBINATION_BUDGET, &par)
-                        .unwrap();
+                let radix = Reduction::build_clause_keyed(
+                    &s,
+                    &q,
+                    eps(),
+                    DEFAULT_COMBINATION_BUDGET,
+                    &par,
+                    None,
+                    &Profiler::new(),
+                    None,
+                    None,
+                )
+                .unwrap();
                 let reference =
                     Reduction::build_reference(&s, &q, eps(), DEFAULT_COMBINATION_BUDGET, &par)
                         .unwrap();
@@ -2442,7 +2412,18 @@ mod tests {
     fn budget_violation_reported() {
         let s = small(9);
         let q = parse_query(s.signature(), "B(x) & R(y)").unwrap();
-        let err = Reduction::build_with_budget(&s, &q, eps(), 0).unwrap_err();
+        let err = Reduction::build_clause_keyed(
+            &s,
+            &q,
+            eps(),
+            0,
+            &ParConfig::serial(),
+            None,
+            &Profiler::new(),
+            None,
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, EngineError::CombinationBudget { .. }));
     }
 }

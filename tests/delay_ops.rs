@@ -5,16 +5,22 @@
 
 use lowdeg_core::enumerate::SkipMode;
 use lowdeg_core::naive::GenerateAndTest;
-use lowdeg_core::Engine;
+use lowdeg_core::{Engine, EngineConfig};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use lowdeg_storage::Node;
 
 fn max_ops(n: usize, seed: u64, mode: SkipMode) -> (u64, usize) {
     let s = ColoredGraphSpec::balanced(n, DegreeClass::Bounded(5)).generate(seed);
     let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-    let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), mode).unwrap();
+    let config = EngineConfig {
+        skip_mode: mode,
+        eps: Epsilon::new(0.5),
+        ..EngineConfig::default()
+    };
+    let engine = Engine::build_configured(&s, &q, &config, &ParConfig::from_env(), None).unwrap();
     let mut worst = 0u64;
     let mut count = 0usize;
     for (t, ops) in engine.enumerate_with_ops() {

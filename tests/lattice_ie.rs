@@ -1,6 +1,6 @@
 //! Differential test of the subset-lattice inclusion–exclusion evaluator.
 //!
-//! `count_clause_with_config` walks the `2^m` Lemma 3.5 terms in Gray-code
+//! `count_clause_with_memo` walks the `2^m` Lemma 3.5 terms in Gray-code
 //! order and reuses component counts across the lattice;
 //! `count_clause_per_term` is the reference nested-difference evaluation
 //! that counts every term from scratch. This suite asserts the two are
@@ -11,9 +11,9 @@
 //! whole engine agrees with itself, cache on vs off, in both `SkipMode`s.
 
 use lowdeg_bench::workloads::{colored, degree_classes};
-use lowdeg_core::counting::{count_clause_per_term, count_clause_with_config};
+use lowdeg_core::counting::{count_clause_per_term, count_clause_with_memo};
 use lowdeg_core::enumerate::EdgeAdjacency;
-use lowdeg_core::{ArtifactCache, Engine, GraphClause, GraphQuery, SkipMode};
+use lowdeg_core::{ArtifactCache, Engine, EngineConfig, GraphClause, GraphQuery, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
 use lowdeg_par::ParConfig;
@@ -66,7 +66,8 @@ proptest! {
                 let gq = GraphQuery { k, edge: e, clauses: vec![clause.clone()] };
                 let reference = count_clause_per_term(&s, &gq, &clause, &adjacency);
                 for par in [ParConfig::serial(), ParConfig::with_threads(2)] {
-                    let lattice = count_clause_with_config(&s, &gq, &clause, &adjacency, &par);
+                    let lattice =
+                        count_clause_with_memo(&s, &gq, &clause, &adjacency, &par, None);
                     prop_assert_eq!(
                         lattice, reference,
                         "k={} class#{} threads={:?}", k, ci, par
@@ -83,13 +84,17 @@ proptest! {
         let s = colored(24, lowdeg_gen::DegreeClass::Bounded(3), seed);
         let q = parse_query(s.signature(), lowdeg_bench::workloads::TERNARY_SCATTER)
             .expect("ternary scatter parses");
-        let eps = Epsilon::new(0.5);
         let par = ParConfig::serial();
         for mode in [SkipMode::Eager, SkipMode::Lazy] {
-            let uncached = Engine::build_with_config(&s, &q, eps, mode, &par).unwrap();
+            let config = EngineConfig {
+                skip_mode: mode,
+                eps: Epsilon::new(0.5),
+                ..EngineConfig::default()
+            };
+            let uncached = Engine::build_configured(&s, &q, &config, &par, None).unwrap();
             let cache = ArtifactCache::new();
-            let cold = Engine::build_full(&s, &q, eps, mode, &par, Some(&cache)).unwrap();
-            let warm = Engine::build_full(&s, &q, eps, mode, &par, Some(&cache)).unwrap();
+            let cold = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
+            let warm = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
             let (hits, _) = cache.stats();
             prop_assert!(hits > 0, "warm build must hit the cache");
             prop_assert_eq!(uncached.count(), cold.count(), "{:?} cold", mode);
@@ -130,7 +135,7 @@ fn lattice_total_nonnegative_under_full_cancellation() {
         edge: e,
         clauses: vec![clause.clone()],
     };
-    let total = count_clause_with_config(&s, &gq, &clause, &adjacency, &ParConfig::serial());
+    let total = count_clause_with_memo(&s, &gq, &clause, &adjacency, &ParConfig::serial(), None);
     assert_eq!(total, 0, "full cancellation must land exactly on zero");
     assert_eq!(
         total,

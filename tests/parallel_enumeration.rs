@@ -17,7 +17,7 @@
 
 use lowdeg_bench::workloads::{colored, degree_classes};
 use lowdeg_conformance::{QueryGen, ALL_SHAPES};
-use lowdeg_core::{Engine, SkipMode};
+use lowdeg_core::{Engine, EngineConfig, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
 use lowdeg_par::ParConfig;
@@ -131,9 +131,15 @@ proptest! {
                 let src = qg.generate(shape);
                 let q = parse_query(s.signature(), &src).expect("generated query parses");
                 for mode in [SkipMode::Eager, SkipMode::Lazy] {
+                    let config = EngineConfig {
+                        skip_mode: mode,
+                        eps: Epsilon::new(0.5),
+                        ..EngineConfig::default()
+                    };
                     // engines may legitimately reject (non-localizable);
                     // that is a skip, not a failure
-                    let Ok(engine) = Engine::build_with(&s, &q, Epsilon::new(0.5), mode)
+                    let Ok(engine) =
+                        Engine::build_configured(&s, &q, &config, &ParConfig::from_env(), None)
                     else {
                         continue;
                     };
@@ -150,7 +156,7 @@ proptest! {
 fn serial_pool_falls_back() {
     let s = colored(24, lowdeg_gen::DegreeClass::Bounded(3), 9);
     let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-    let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), SkipMode::Eager).unwrap();
+    let engine = Engine::build(&s, &q, Epsilon::new(0.5)).unwrap();
     let serial: Vec<Vec<Node>> = engine.enumerate().collect();
     for par in [ParConfig::serial(), ParConfig::with_threads(4)] {
         assert_eq!(engine.par_enumerate(&par), serial);
@@ -186,7 +192,7 @@ fn tasks_span_clause_boundaries() {
          | (B(x) & G(y) & E(x, y) & (exists z. E(y, z) & R(z)))",
     )
     .unwrap();
-    let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), SkipMode::Eager).unwrap();
+    let engine = Engine::build(&s, &q, Epsilon::new(0.5)).unwrap();
     let plans = engine.enumerator().expect("reduced engine").plans();
     // at most threads × 4 tasks at this size: far fewer than clauses
     assert!(plans.len() > 10 * 4 * 4, "{} clauses", plans.len());

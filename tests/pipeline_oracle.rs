@@ -4,11 +4,12 @@
 //! structures from several degree classes.
 
 use lowdeg_core::enumerate::SkipMode;
-use lowdeg_core::Engine;
+use lowdeg_core::{Engine, EngineConfig};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::eval::{answers_naive, model_check_naive};
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Structure};
 use std::collections::BTreeSet;
 
@@ -46,10 +47,16 @@ fn check_query(structure: &Structure, src: &str, mode: SkipMode) {
     let oracle = answers_naive(structure, &q);
     let oracle_set: BTreeSet<Vec<Node>> = oracle.iter().cloned().collect();
 
-    let engine = match Engine::build_with(structure, &q, Epsilon::new(0.5), mode) {
-        Ok(e) => e,
-        Err(e) => panic!("`{src}` failed to build: {e}"),
+    let config = EngineConfig {
+        skip_mode: mode,
+        eps: Epsilon::new(0.5),
+        ..EngineConfig::default()
     };
+    let engine =
+        match Engine::build_configured(structure, &q, &config, &ParConfig::from_env(), None) {
+            Ok(e) => e,
+            Err(e) => panic!("`{src}` failed to build: {e}"),
+        };
 
     // Thm 2.5
     assert_eq!(engine.count(), oracle.len() as u64, "`{src}` count");

@@ -9,11 +9,12 @@
 //! * the blue–red running-example enumerator agrees with the oracle.
 
 use lowdeg_core::bluered::BlueRed;
-use lowdeg_core::Engine;
+use lowdeg_core::{Engine, EngineConfig};
 use lowdeg_index::{Epsilon, RadixFuncStore};
 use lowdeg_locality::types::canonical_encoding;
 use lowdeg_logic::eval::answers_naive;
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Signature, Structure};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -150,8 +151,14 @@ proptest! {
             let oracle: BTreeSet<Vec<Node>> =
                 answers_naive(&s, &q).into_iter().collect();
             for mode in [SkipMode::Eager, SkipMode::Lazy, SkipMode::EagerForce] {
+                let config = EngineConfig {
+                    skip_mode: mode,
+                    eps: Epsilon::new(0.5),
+                    ..EngineConfig::default()
+                };
                 let engine =
-                    Engine::build_with(&s, &q, Epsilon::new(0.5), mode).unwrap();
+                    Engine::build_configured(&s, &q, &config, &ParConfig::from_env(), None)
+                        .unwrap();
                 prop_assert_eq!(engine.count(), oracle.len() as u64);
                 let got: Vec<Vec<Node>> = engine.enumerate().collect();
                 let got_set: BTreeSet<Vec<Node>> = got.iter().cloned().collect();

@@ -1,5 +1,5 @@
 //! Differential suite for the radix-built Prop 3.3 assembly (DESIGN.md
-//! §13): `Reduction::build_with_config` — sorted/partitioned batch passes
+//! §13): `Reduction::build_clause_keyed` — sorted/partitioned batch passes
 //! over near-pairs and cluster tuples, arithmetic block layout, no
 //! per-vertex hash interning — must be observationally identical to
 //! `Reduction::build_reference`, the retained per-vertex construction.
@@ -29,9 +29,9 @@ use lowdeg_bench::workloads::{
     colored, colored_padded_clique, degree_classes, RUNNING_EXAMPLE, TERNARY_SCATTER, TWO_HOP,
 };
 use lowdeg_core::reduction::DEFAULT_COMBINATION_BUDGET;
-use lowdeg_core::Reduction;
+use lowdeg_core::{Profiler, Reduction};
 use lowdeg_index::Epsilon;
-use lowdeg_logic::parse_query;
+use lowdeg_logic::{parse_query, Query};
 use lowdeg_par::ParConfig;
 use lowdeg_storage::Structure;
 
@@ -47,14 +47,29 @@ fn pools() -> Vec<ParConfig> {
     ]
 }
 
+/// The radix-assembled production build: no cache, no fingerprints.
+fn radix_build(s: &Structure, q: &Query, par: &ParConfig) -> Reduction {
+    Reduction::build_clause_keyed(
+        s,
+        q,
+        Epsilon::new(EPS),
+        DEFAULT_COMBINATION_BUDGET,
+        par,
+        None,
+        &Profiler::new(),
+        None,
+        None,
+    )
+    .expect("radix build")
+}
+
 /// Assert the radix-assembled reduction equals the reference digest for
 /// one (structure, query, pool) combination.
 fn assert_equivalent(s: &Structure, src: &str, par: &ParConfig, label: &str) {
     let q = parse_query(s.signature(), src).expect("query parses");
     let eps = Epsilon::new(EPS);
     let t = std::time::Instant::now();
-    let radix = Reduction::build_with_config(s, &q, eps, DEFAULT_COMBINATION_BUDGET, par)
-        .expect("radix build");
+    let radix = radix_build(s, &q, par);
     let radix_dt = t.elapsed();
     let t = std::time::Instant::now();
     let reference = Reduction::build_reference(s, &q, eps, DEFAULT_COMBINATION_BUDGET, par)
@@ -134,18 +149,9 @@ fn parallel_pools_agree_with_serial_digest() {
     let s = colored(128, lowdeg_gen::DegreeClass::Bounded(4), 7);
     for src in [RUNNING_EXAMPLE, TWO_HOP, TERNARY_SCATTER] {
         let q = parse_query(s.signature(), src).expect("query parses");
-        let eps = Epsilon::new(EPS);
-        let serial = Reduction::build_with_config(
-            &s,
-            &q,
-            eps,
-            DEFAULT_COMBINATION_BUDGET,
-            &ParConfig::serial(),
-        )
-        .expect("serial build");
+        let serial = radix_build(&s, &q, &ParConfig::serial());
         for par in pools() {
-            let other = Reduction::build_with_config(&s, &q, eps, DEFAULT_COMBINATION_BUDGET, &par)
-                .expect("pool build");
+            let other = radix_build(&s, &q, &par);
             assert_eq!(
                 serial.core_digest(),
                 other.core_digest(),

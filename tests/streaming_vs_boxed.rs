@@ -12,9 +12,10 @@
 
 use lowdeg_bench::workloads::{colored, degree_classes};
 use lowdeg_conformance::{QueryGen, ALL_SHAPES};
-use lowdeg_core::{Engine, SkipMode};
+use lowdeg_core::{Engine, EngineConfig, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use lowdeg_storage::Node;
 use proptest::prelude::*;
 use std::ops::ControlFlow;
@@ -121,9 +122,15 @@ proptest! {
                 let src = qg.generate(shape);
                 let q = parse_query(s.signature(), &src).expect("generated query parses");
                 for mode in [SkipMode::Eager, SkipMode::Lazy] {
+                    let config = EngineConfig {
+                        skip_mode: mode,
+                        eps: Epsilon::new(0.5),
+                        ..EngineConfig::default()
+                    };
                     // engines may legitimately reject (non-localizable);
                     // that is a skip, not a failure
-                    let Ok(engine) = Engine::build_with(&s, &q, Epsilon::new(0.5), mode)
+                    let Ok(engine) =
+                        Engine::build_configured(&s, &q, &config, &ParConfig::from_env(), None)
                     else {
                         continue;
                     };
@@ -141,7 +148,12 @@ proptest! {
 fn streaming_is_restartable() {
     let s = colored(24, lowdeg_gen::DegreeClass::Bounded(3), 9);
     let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-    let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), SkipMode::Lazy).unwrap();
+    let config = EngineConfig {
+        skip_mode: SkipMode::Lazy,
+        eps: Epsilon::new(0.5),
+        ..EngineConfig::default()
+    };
+    let engine = Engine::build_configured(&s, &q, &config, &ParConfig::from_env(), None).unwrap();
     let collect = || {
         let mut out: Vec<(Vec<Node>, u64)> = Vec::new();
         engine.for_each_answer_with_ops(|t, d| {
