@@ -641,7 +641,7 @@ fn e10_skip_ablation(cfg: &Cfg) {
                 .map(|en| {
                     en.plans()
                         .iter()
-                        .flat_map(|p| p.levels.iter().flatten())
+                        .flat_map(|p| p.levels.iter())
                         .map(|l| l.skip_entries())
                         .sum()
                 })
@@ -692,7 +692,7 @@ fn e10_forced(cfg: &Cfg) {
                 .map(|en| {
                     en.plans()
                         .iter()
-                        .flat_map(|p| p.levels.iter().flatten())
+                        .flat_map(|p| p.levels.iter())
                         .map(|l| l.skip_entries())
                         .sum()
                 })

@@ -6,7 +6,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use lowdeg_core::{ArtifactCache, Engine, EngineConfig};
+use lowdeg_core::{ArtifactCache, Engine, EngineConfig, EngineError};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
@@ -110,6 +110,15 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                     q.arity(),
                     tuple.len()
                 ));
+            }
+            // `Engine::test` answers `false` for any tuple it cannot place,
+            // so an id outside the database is rejected here instead
+            if let Some(bad) = tuple.iter().find(|n| n.index() >= db.cardinality()) {
+                return Err(EngineError::NodeOutOfDomain {
+                    node: bad.0,
+                    domain: db.cardinality(),
+                }
+                .to_string());
             }
             let engine = build(&db, &q, None)?;
             writeln!(out, "{}", engine.test(&tuple)).map_err(w)?;
@@ -536,6 +545,23 @@ mod tests {
             "false"
         );
         assert!(run_str(&["test", db.to_str().unwrap(), q, "0"]).is_err());
+    }
+
+    #[test]
+    fn test_command_rejects_out_of_domain_nodes() {
+        let db = temp_db();
+        let q = "B(x) & R(y) & !E(x, y)";
+        // the domain is 0..5: 5 is the first id outside it
+        let err = run_str(&["test", db.to_str().unwrap(), q, "0", "5"]).unwrap_err();
+        assert_eq!(err, "node 5 outside the domain of size 5");
+        assert!(run_str(&["test", db.to_str().unwrap(), q, "4000000000", "3"]).is_err());
+        // the largest id inside the domain still answers
+        assert_eq!(
+            run_str(&["test", db.to_str().unwrap(), q, "0", "4"])
+                .unwrap()
+                .trim(),
+            "false"
+        );
     }
 
     #[test]

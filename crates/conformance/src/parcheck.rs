@@ -29,6 +29,7 @@ use lowdeg_storage::{Node, Structure};
 pub struct PlanStats {
     strategies: Vec<String>,
     list_sizes: Vec<usize>,
+    /// Per large position, as the next two.
     eager_built: Vec<bool>,
     skip_entries: Vec<usize>,
     ek_len: Vec<usize>,
@@ -41,21 +42,9 @@ pub fn plan_stats(en: &Enumerator) -> Vec<PlanStats> {
         .map(|p| PlanStats {
             strategies: p.strategies.iter().map(|s| format!("{s:?}")).collect(),
             list_sizes: p.list_sizes(),
-            eager_built: p
-                .levels
-                .iter()
-                .map(|l| l.as_ref().map(|l| l.eager_built).unwrap_or(false))
-                .collect(),
-            skip_entries: p
-                .levels
-                .iter()
-                .map(|l| l.as_ref().map(|l| l.skip_entries()).unwrap_or(0))
-                .collect(),
-            ek_len: p
-                .levels
-                .iter()
-                .map(|l| l.as_ref().map(|l| l.ek_len()).unwrap_or(0))
-                .collect(),
+            eager_built: p.levels.iter().map(|l| l.eager_built).collect(),
+            skip_entries: p.levels.iter().map(|l| l.skip_entries()).collect(),
+            ek_len: p.levels.iter().map(|l| l.ek_len()).collect(),
         })
         .collect()
 }

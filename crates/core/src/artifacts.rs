@@ -10,6 +10,19 @@
 //! builds are guaranteed observably identical and the conformance
 //! `cachecheck` oracle cross-checks that guarantee case by case.
 //!
+//! Above the per-structure products sit the per-query ones. The
+//! whole-query Step 5 entry, keyed by the query's canonical fingerprint,
+//! holds everything a query adds on top of its core: the reduced query
+//! `ψ`, the acceptance set behind constant-time testing, the per-clause
+//! signatures the counting memo probes, and the enumeration plans of the
+//! first build (with the skip mode and cost gates they were built under).
+//! A build that hits it — any rewrite variant of a query built before —
+//! takes all four behind their `Arc`s instead of copying or rebuilding
+//! them, so its cost is the normalize, the lookups and the localize of
+//! the query, independent of the number of reduced clauses. Beneath it,
+//! the clause tier shares acceptance sets between queries that merely
+//! share a clause.
+//!
 //! Invalidation is explicit: the cache never watches structures. Callers
 //! that mutate a database (the `dynamic` module's update model) must either
 //! drop the cache, call [`ArtifactCache::invalidate`] with the stale
@@ -213,22 +226,27 @@ impl ArtifactCache {
     /// Warm `structure`'s lazy Gaifman slot from the cache when its
     /// fingerprint is known, and make sure the cache holds the graph
     /// afterwards (building it on `par` on a miss). Either way,
-    /// `structure.gaifman()` is subsequently hit-free.
+    /// `structure.gaifman()` is subsequently hit-free. A hit on a
+    /// structure that already holds its graph copies nothing.
     pub fn prime_gaifman(&self, structure: &Structure, par: &lowdeg_par::ParConfig) {
         let fp = structure.fingerprint();
         let stamp = self.touch();
+        let primed = structure.has_gaifman();
+        // `Some(None)`: a hit the structure does not need a copy of.
         let cached = {
             let mut inner = self.inner.lock().expect("cache poisoned");
-            let got = inner.gaifman.get(&fp).cloned();
+            let got = inner.gaifman.get(&fp).map(|g| (!primed).then(|| g.clone()));
             if got.is_some() {
                 inner.gaifman_used.insert(fp, stamp);
             }
             got
         };
         match cached {
-            Some(g) => {
+            Some(copy) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                structure.adopt_gaifman(g);
+                if let Some(g) = copy {
+                    structure.adopt_gaifman(g);
+                }
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -330,13 +348,18 @@ impl ArtifactCache {
             .clone()
     }
 
-    /// The per-query Step 5 acceptance product for the core at
+    /// The per-query Step 5 product for the core at
     /// `(fingerprint, r, k, eps)` and the *normalized* query fingerprint
     /// `query_fp`, building it with `build` on a miss and retaining the
-    /// result. Because the key is the canonical fingerprint
-    /// ([`lowdeg_logic::normalize`]), every rewrite variant of one query —
-    /// shuffled conjuncts, renamed bound variables, doubled negations —
-    /// probes the same entry and skips the acceptance pass entirely.
+    /// result. The entry holds the reduced query, the acceptance set, the
+    /// clause signatures and — once the first engine has built them — the
+    /// clause plans of the enumerator. Because the key is the canonical
+    /// fingerprint ([`lowdeg_logic::normalize`]), every rewrite variant of
+    /// one query — shuffled conjuncts, renamed bound variables, doubled
+    /// negations — probes the same entry and shares all four instead of
+    /// rerunning the acceptance pass or rebuilding the plans. The plans
+    /// live and die with the entry: invalidation and eviction drop them
+    /// with it (engines already holding them keep their `Arc`).
     pub(crate) fn step5_product(
         &self,
         fingerprint: u64,
@@ -709,10 +732,15 @@ mod tests {
         cache.prime_gaifman(&b, &par);
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(b.degree(), a.degree());
+        // priming an instance that already holds its graph is still a hit
+        // (the copy is skipped, not the lookup)
+        assert!(b.has_gaifman());
+        cache.prime_gaifman(&b, &par);
+        assert_eq!(cache.stats(), (2, 1));
         // different content: a miss under a different key
         let c = sample(2);
         cache.prime_gaifman(&c, &par);
-        assert_eq!(cache.stats(), (1, 2));
+        assert_eq!(cache.stats(), (2, 2));
         assert_eq!(cache.entries(), 2);
     }
 

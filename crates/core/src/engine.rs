@@ -166,7 +166,15 @@ impl Engine {
     /// granularity: each clause of the normal form gets its own
     /// fingerprint-keyed acceptance set and signed count, so any two
     /// queries sharing a clause share that clause's work, and rebuilding
-    /// any rewrite variant of a query skips both. The result is
+    /// any rewrite variant of a query skips both. A *hit* — a build whose
+    /// canonical query was built before through the same cache with the
+    /// same skip mode and cost gates — goes further: it takes the cached
+    /// reduced query, acceptance set, whole-query count and enumeration
+    /// plans as they are, behind shared `Arc`s, so it costs the normalize,
+    /// a few cache lookups and the localize of the query: O(|query|), not
+    /// O(|reduced clauses|). Plan diagnostics such as the lazy-memo peaks
+    /// in [`Engine::explain`] then report the maximum over every engine
+    /// sharing the plans. The result is
     /// bit-identical to an uncached build (the conformance `cachecheck`
     /// and `clausecheck` oracles enforce this). Per-stage timings are
     /// recorded in [`Engine::profile`].
@@ -311,17 +319,24 @@ impl Engine {
                 eps,
             )
         });
-        let enumerator = Enumerator::build_full_with_adjacency(
-            reduction.graph(),
-            reduction.query(),
-            adjacency,
-            config.skip_mode,
-            eps,
-            limits,
-            par,
-            &profiler,
-            positions.as_deref(),
-        );
+        // The plans are a function of the reduced query and the skip
+        // settings: a build whose Step 5 product already carries plans
+        // under the same settings (a cache hit) adopts them outright.
+        let plans = reduction.enumeration_plans(config.skip_mode, limits, || {
+            Enumerator::build_full_with_adjacency(
+                reduction.graph(),
+                reduction.query(),
+                adjacency.clone(),
+                config.skip_mode,
+                eps,
+                limits,
+                par,
+                &profiler,
+                positions.as_deref(),
+            )
+            .into_plans()
+        });
+        let enumerator = Enumerator::with_plans(adjacency, plans);
         if config.warm_up {
             enumerator.warm_up(&profiler);
         }
@@ -1355,7 +1370,7 @@ mod tests {
         assert!(en
             .plans()
             .iter()
-            .flat_map(|p| p.levels.iter().flatten())
+            .flat_map(|p| p.levels.iter())
             .all(|l| !l.eager_built && l.degraded));
         // non-vacuous: this structure is dense enough for Large levels
         let s2 = ColoredGraphSpec::balanced(400, DegreeClass::Bounded(2)).generate(1);
@@ -1363,16 +1378,12 @@ mod tests {
         let degraded2 =
             Engine::build_configured(&s2, &q2, &degraded_cfg, &ParConfig::serial(), None).unwrap();
         let en2 = degraded2.enumerator().unwrap();
-        let larges = en2
-            .plans()
-            .iter()
-            .flat_map(|p| p.levels.iter().flatten())
-            .count();
+        let larges = en2.plans().iter().flat_map(|p| p.levels.iter()).count();
         assert!(larges > 0, "plan must contain large levels");
         assert!(en2
             .plans()
             .iter()
-            .flat_map(|p| p.levels.iter().flatten())
+            .flat_map(|p| p.levels.iter())
             .all(|l| !l.eager_built && l.degraded));
     }
 

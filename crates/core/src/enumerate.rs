@@ -431,8 +431,10 @@ pub enum Strategy {
 /// Preprocessed machinery for one *large* position of one clause.
 #[derive(Debug)]
 pub struct LevelPlan {
-    /// The sorted candidate list `P(G)`.
-    pub list: Vec<Node>,
+    /// The sorted candidate list `P(G)`: the allocation the clause's
+    /// [`ClausePlan`] holds for this position (and the [`PositionMemo`]
+    /// entry it came from), shared rather than copied.
+    pub list: Arc<[Node]>,
     /// `node → index in list` (or `VOID`). Dense over the whole graph
     /// domain, so it is only materialized when the eager machinery is built
     /// and needs O(1) lookups in its inner loops; lazy levels leave it empty
@@ -460,6 +462,8 @@ pub struct LevelPlan {
     pub degraded: bool,
     /// Peak lazy-skip memo length observed across finished traversals of
     /// this level (memory-growth diagnostics; see [`ClauseIter`]'s `Drop`).
+    /// Plans shared through the artifact cache fold in the traversals of
+    /// every engine holding them.
     lazy_memo_peak: AtomicUsize,
     /// Peak lazy-skip memo *capacity* across finished traversals — the
     /// number that actually bounds resident memory between rehashes.
@@ -469,7 +473,7 @@ pub struct LevelPlan {
 impl LevelPlan {
     #[allow(clippy::too_many_arguments)]
     fn build(
-        list: Vec<Node>,
+        list: Arc<[Node]>,
         adjacency: &EdgeAdjacency,
         k: usize,
         n_graph: usize,
@@ -572,7 +576,7 @@ impl LevelPlan {
             );
             // estimate table size: Σ_y Σ_{s<k} C(|U(y)|, s)
             let mut est: u64 = 0;
-            for &y in &list {
+            for &y in list.iter() {
                 let u_len = rev.neighbors(y.0).len() as u64;
                 let mut binom: u64 = 1;
                 let mut sum: u64 = 1; // empty subset
@@ -590,7 +594,7 @@ impl LevelPlan {
                 // sequence.
                 let tables_started = std::time::Instant::now();
                 let sentinel = Node(n_graph as u32);
-                let entries: Vec<(Vec<Node>, Vec<u32>)> = par_map(par, &list, |&y| {
+                let entries: Vec<(Vec<Node>, Vec<u32>)> = par_map(par, &list[..], |&y| {
                     let u_list = rev.neighbors(y.0);
                     let mut keys: Vec<Node> = Vec::new();
                     let mut vals: Vec<u32> = Vec::new();
@@ -679,6 +683,9 @@ impl LevelPlan {
     /// Peak lazy-skip memo `(len, capacity)` across finished traversals of
     /// this level (both 0 for eager levels or before any cursor was
     /// dropped). Capacity is what bounds resident memory between rehashes.
+    /// The plans of one canonical query are shared through the artifact
+    /// cache, so this is the maximum over every engine holding them, not
+    /// over this engine's traversals alone.
     pub fn lazy_memo_peak(&self) -> (usize, usize) {
         (
             self.lazy_memo_peak.load(Ordering::Relaxed),
@@ -686,16 +693,13 @@ impl LevelPlan {
         )
     }
 
-    /// Read-touch every page of the level's frozen structures (candidate
-    /// list, dense index, `E_k`, eager skip table) so probes that follow
-    /// pay no first-touch page fault inside a delay sample. Returns a
-    /// wrapping fold of the words read so the pass cannot be optimized
-    /// away.
+    /// Read-touch every page of the level's own frozen structures (dense
+    /// index, `E_k`, eager skip table; the candidate list is the clause's
+    /// and [`ClausePlan::prefault`] touches it) so probes that follow pay
+    /// no first-touch page fault inside a delay sample. Returns a wrapping
+    /// fold of the words read so the pass cannot be optimized away.
     fn prefault(&self) -> u64 {
         let mut acc = 0u64;
-        for chunk in self.list.chunks(1024) {
-            acc = acc.wrapping_add(chunk[0].0 as u64);
-        }
         for chunk in self.index_in_list.chunks(1024) {
             acc = acc.wrapping_add(chunk[0] as u64);
         }
@@ -752,15 +756,23 @@ pub struct ClausePlan {
     /// Candidate lists per position — shared with the per-core
     /// [`PositionMemo`], so clauses (and engines) drawing the same color
     /// set share one list.
-    lists: Vec<Arc<Vec<Node>>>,
+    lists: Vec<Arc<[Node]>>,
     /// Strategy per position.
     pub strategies: Vec<Strategy>,
-    /// Skip machinery per position (only for Large positions).
-    pub levels: Vec<Option<LevelPlan>>,
+    /// Skip machinery of the Large positions only, in ascending position
+    /// order — the order they take at the tail of `order`, so order level
+    /// `depth ≥ small` runs on `levels[depth - small]`. Small positions
+    /// carry no slot: most reduced clauses have no Large position at all
+    /// and then allocate nothing here.
+    pub levels: Vec<LevelPlan>,
     /// Iteration order: small positions first, then large, ascending.
     order: Vec<usize>,
+    /// Number of Small positions (the head of `order`).
+    small: usize,
     /// Peak forbidden-set interner length across finished traversals
-    /// (memory-growth diagnostics; see [`ClauseIter`]'s `Drop`).
+    /// (memory-growth diagnostics; see [`ClauseIter`]'s `Drop`). Plans
+    /// shared through the artifact cache fold in the traversals of every
+    /// engine holding them.
     vset_peak: AtomicUsize,
     /// Peak forbidden-set interner id-map capacity across finished
     /// traversals.
@@ -787,7 +799,7 @@ impl ClausePlan {
         let k = gq.k;
         let n_graph = graph.cardinality();
         let threshold = (k - 1) * adjacency.max_degree();
-        let lists: Vec<Arc<Vec<Node>>> = (0..k)
+        let lists: Vec<Arc<[Node]>> = (0..k)
             .map(|i| positions.position_list(graph, &clause.colors[i]))
             .collect();
         let strategies: Vec<Strategy> = lists
@@ -800,12 +812,15 @@ impl ClausePlan {
                 }
             })
             .collect();
-        let levels: Vec<Option<LevelPlan>> = lists
+        let mut order: Vec<usize> = Vec::with_capacity(k);
+        order.extend((0..k).filter(|&i| strategies[i] == Strategy::Small));
+        let small = order.len();
+        order.extend((0..k).filter(|&i| strategies[i] == Strategy::Large));
+        let levels: Vec<LevelPlan> = order[small..]
             .iter()
-            .zip(&strategies)
-            .map(|(l, s)| match s {
-                Strategy::Large => Some(LevelPlan::build(
-                    l.as_ref().clone(),
+            .map(|&pos| {
+                LevelPlan::build(
+                    Arc::clone(&lists[pos]),
                     adjacency,
                     k,
                     n_graph,
@@ -814,19 +829,16 @@ impl ClausePlan {
                     limits,
                     par,
                     profiler,
-                )),
-                Strategy::Small => None,
+                )
             })
             .collect();
-        let mut order: Vec<usize> = Vec::with_capacity(k);
-        order.extend((0..k).filter(|&i| strategies[i] == Strategy::Small));
-        order.extend((0..k).filter(|&i| strategies[i] == Strategy::Large));
         ClausePlan {
             k,
             lists,
             strategies,
             levels,
             order,
+            small,
             vset_peak: AtomicUsize::new(0),
             vset_cap_peak: AtomicUsize::new(0),
         }
@@ -848,7 +860,9 @@ impl ClausePlan {
     }
 
     /// Peak forbidden-set interner `(len, id-map capacity)` across finished
-    /// traversals of this clause (memory-growth diagnostics).
+    /// traversals of this clause (memory-growth diagnostics). A plan
+    /// shared through the artifact cache reports the maximum over the
+    /// traversals of every engine that holds it.
     pub fn vset_peak(&self) -> (usize, usize) {
         (
             self.vset_peak.load(Ordering::Relaxed),
@@ -865,7 +879,7 @@ impl ClausePlan {
                 acc = acc.wrapping_add(chunk[0].0 as u64);
             }
         }
-        for level in self.levels.iter().flatten() {
+        for level in &self.levels {
             acc = acc.wrapping_add(level.prefault());
         }
         acc
@@ -899,12 +913,12 @@ impl ClausePlan {
         let lo = lo.min(hi);
         // Pre-size the lazy memos and the forbidden-set interner so the hot
         // loop never pays their first few doublings mid-answer. Only lazy
-        // large levels ever insert; everything else stays at capacity 0.
-        let lazy_skip: Vec<FxHashMap<u64, u32>> = (0..self.k)
-            .map(|pos| {
-                let lazy_large = self.strategies[pos] == Strategy::Large
-                    && !self.levels[pos].as_ref().is_some_and(|l| l.eager_built);
-                let cap = if lazy_large { 64 } else { 0 };
+        // large levels ever insert; eager ones stay at capacity 0.
+        let lazy_skip: Vec<FxHashMap<u64, u32>> = self
+            .levels
+            .iter()
+            .map(|l| {
+                let cap = if l.eager_built { 0 } else { 64 };
                 FxHashMap::with_capacity_and_hasher(cap, Default::default())
             })
             .collect();
@@ -955,8 +969,9 @@ pub struct ClauseIter<'a> {
     /// parallel task for [`ClausePlan::iter_slice`].
     top_lo: usize,
     top_hi: usize,
-    /// Per-position memo for lazy skip: packed `(y << 32) | vset_id` →
-    /// result node id (`VOID` = none).
+    /// Per-large-level memo for lazy skip (aligned with
+    /// [`ClausePlan::levels`]): packed `(y << 32) | vset_id` → result node
+    /// id (`VOID` = none).
     lazy_skip: Vec<FxHashMap<u64, u32>>,
     /// Distinct forbidden sets seen by lazy probes, interned to dense ids.
     vsets: SliceInterner<u32>,
@@ -979,13 +994,15 @@ impl ClauseIter<'_> {
             .map(move |&pos| self.tuple[pos])
     }
 
-    /// skip(y, V) at large position `pos`, through the eager store or the
-    /// lazy memo. Zero heap allocation per probe: the forbidden set is
-    /// assembled in a reused scratch buffer, the eager key in another, and
-    /// the lazy memo is probed with a packed integer key (the set itself is
-    /// interned once per distinct value, then referenced by id).
-    fn skip(&mut self, pos: usize, depth: usize, y: Node) -> Option<Node> {
-        let level = self.plan.levels[pos].as_ref().expect("large level");
+    /// skip(y, V) at the large level of order depth `depth`, through the
+    /// eager store or the lazy memo. Zero heap allocation per probe: the
+    /// forbidden set is assembled in a reused scratch buffer, the eager key
+    /// in another, and the lazy memo is probed with a packed integer key
+    /// (the set itself is interned once per distinct value, then
+    /// referenced by id).
+    fn skip(&mut self, depth: usize, y: Node) -> Option<Node> {
+        let li = depth - self.plan.small;
+        let level = &self.plan.levels[li];
         self.ops += depth as u64 + 1; // E_k membership tests + the lookup
                                       // Eager levels restrict V to the E_k-related forbidden vertices (the
                                       // table is keyed that way); lazy levels use the full forbidden set.
@@ -1031,7 +1048,7 @@ impl ClauseIter<'_> {
         // memo plateaus early and no single probe pays a large rehash.
         if let Some(id) = self.vsets.lookup(&v) {
             let memo_key = ((y.0 as u64) << 32) | id as u64;
-            if let Some(&hit) = self.lazy_skip[pos].get(&memo_key) {
+            if let Some(&hit) = self.lazy_skip[li].get(&memo_key) {
                 self.v_scratch = v;
                 return (hit != VOID).then_some(Node(hit));
             }
@@ -1053,7 +1070,7 @@ impl ClauseIter<'_> {
         self.ops += (end.saturating_sub(start) as u64) * (v.len().max(1) as u64);
         if end > start {
             let memo_key = ((y.0 as u64) << 32) | self.vsets.intern(&v) as u64;
-            self.lazy_skip[pos].insert(memo_key, z.map(|n| n.0).unwrap_or(VOID));
+            self.lazy_skip[li].insert(memo_key, z.map(|n| n.0).unwrap_or(VOID));
         }
         self.v_scratch = v;
         z
@@ -1062,7 +1079,8 @@ impl ClauseIter<'_> {
     /// Position level `depth` on its first valid candidate; `false` when
     /// none exists.
     fn init_level(&mut self, depth: usize) -> bool {
-        let pos = self.plan.order[depth];
+        let plan = self.plan;
+        let pos = plan.order[depth];
         // The slice bounds apply to the outermost order level only; at
         // depth 0 the forbidden set is empty, so `skip` stays in place and
         // the bound check below never fires past a real answer.
@@ -1071,70 +1089,48 @@ impl ClauseIter<'_> {
         } else {
             (0, usize::MAX)
         };
-        match self.plan.strategies[pos] {
-            Strategy::Small => {
-                self.state[pos].cursor = lo;
-                self.find_small(depth, pos)
-            }
-            Strategy::Large => {
-                let level = self.plan.levels[pos].as_ref().expect("large level");
-                let Some(&first) = level.list.get(lo).filter(|_| lo < hi) else {
-                    return false;
-                };
-                match self.skip(pos, depth, first) {
-                    Some(z) => {
-                        let zi = self.plan.levels[pos]
-                            .as_ref()
-                            .expect("large level")
-                            .index_of(z)
-                            .expect("skip result is a list node");
-                        if zi >= hi {
-                            return false;
-                        }
-                        self.state[pos].cursor = zi;
-                        self.tuple[pos] = z;
-                        true
-                    }
-                    None => false,
-                }
-            }
+        if depth < plan.small {
+            self.state[pos].cursor = lo;
+            return self.find_small(depth, pos);
         }
+        let level = &plan.levels[depth - plan.small];
+        let Some(&first) = level.list.get(lo).filter(|_| lo < hi) else {
+            return false;
+        };
+        self.land(depth, pos, level, first, hi)
     }
 
     /// Advance level `depth` to its next valid candidate.
     fn advance_level(&mut self, depth: usize) -> bool {
-        let pos = self.plan.order[depth];
+        let plan = self.plan;
+        let pos = plan.order[depth];
         let hi = if depth == 0 { self.top_hi } else { usize::MAX };
-        match self.plan.strategies[pos] {
-            Strategy::Small => {
-                self.state[pos].cursor += 1;
-                self.find_small(depth, pos)
-            }
-            Strategy::Large => {
-                let next_idx = self.state[pos].cursor + 1;
-                let level = self.plan.levels[pos].as_ref().expect("large level");
-                if next_idx >= level.list.len().min(hi) {
-                    return false;
-                }
-                let y = level.list[next_idx];
-                match self.skip(pos, depth, y) {
-                    Some(z) => {
-                        let zi = self.plan.levels[pos]
-                            .as_ref()
-                            .expect("large level")
-                            .index_of(z)
-                            .expect("skip result is a list node");
-                        if zi >= hi {
-                            return false;
-                        }
-                        self.state[pos].cursor = zi;
-                        self.tuple[pos] = z;
-                        true
-                    }
-                    None => false,
-                }
-            }
+        if depth < plan.small {
+            self.state[pos].cursor += 1;
+            return self.find_small(depth, pos);
         }
+        let next_idx = self.state[pos].cursor + 1;
+        let level = &plan.levels[depth - plan.small];
+        if next_idx >= level.list.len().min(hi) {
+            return false;
+        }
+        self.land(depth, pos, level, level.list[next_idx], hi)
+    }
+
+    /// Move large level `depth` (position `pos`) to `skip(y, V)`, staying
+    /// below list index `hi`; `false` when no such candidate exists.
+    #[inline]
+    fn land(&mut self, depth: usize, pos: usize, level: &LevelPlan, y: Node, hi: usize) -> bool {
+        let Some(z) = self.skip(depth, y) else {
+            return false;
+        };
+        let zi = level.index_of(z).expect("skip result is a list node");
+        if zi >= hi {
+            return false;
+        }
+        self.state[pos].cursor = zi;
+        self.tuple[pos] = z;
+        true
     }
 
     /// Scan a small list from the cursor for a candidate non-adjacent to
@@ -1238,17 +1234,16 @@ impl Drop for ClauseIter<'_> {
     /// Fold this traversal's memory high-water marks into the plan so
     /// `explain` can report lazy-memo and interner growth per level. The
     /// counters are monotone maxima over all finished cursors (serial
-    /// passes, parallel task slices, abandoned prefix walks alike).
+    /// passes, parallel task slices, abandoned prefix walks alike) of every
+    /// engine that shares the plan.
     fn drop(&mut self) {
-        for (pos, memo) in self.lazy_skip.iter().enumerate() {
-            if let Some(level) = self.plan.levels[pos].as_ref() {
-                level
-                    .lazy_memo_peak
-                    .fetch_max(memo.len(), Ordering::Relaxed);
-                level
-                    .lazy_memo_cap_peak
-                    .fetch_max(memo.capacity(), Ordering::Relaxed);
-            }
+        for (level, memo) in self.plan.levels.iter().zip(&self.lazy_skip) {
+            level
+                .lazy_memo_peak
+                .fetch_max(memo.len(), Ordering::Relaxed);
+            level
+                .lazy_memo_cap_peak
+                .fetch_max(memo.capacity(), Ordering::Relaxed);
         }
         self.plan
             .vset_peak
@@ -1268,10 +1263,14 @@ impl Iterator for ClauseIter<'_> {
 }
 
 /// The full preprocessed enumerator: one plan per clause.
+///
+/// The plans sit behind an `Arc`: an engine built through the artifact
+/// cache shares them with every other engine of the same canonical query
+/// and skip settings (the cache's Step 5 entry holds them).
 #[derive(Debug)]
 pub struct Enumerator {
     adjacency: Arc<EdgeAdjacency>,
-    plans: Vec<ClausePlan>,
+    plans: Arc<[ClausePlan]>,
 }
 
 impl Enumerator {
@@ -1332,7 +1331,21 @@ impl Enumerator {
                 graph, gq, c, &adjacency, mode, eps, limits, par, profiler, positions,
             )
         });
+        Enumerator {
+            adjacency,
+            plans: plans.into(),
+        }
+    }
+
+    /// An enumerator over plans built earlier for the same reduced query
+    /// against the same `adjacency` (the artifact cache's shared plans).
+    pub(crate) fn with_plans(adjacency: Arc<EdgeAdjacency>, plans: Arc<[ClausePlan]>) -> Self {
         Enumerator { adjacency, plans }
+    }
+
+    /// The shared plans, for the artifact cache to hand to later builds.
+    pub(crate) fn into_plans(self) -> Arc<[ClausePlan]> {
+        self.plans
     }
 
     /// The streaming cursor over all vertex tuples of `ψ(G)`, clause by
@@ -1395,7 +1408,7 @@ impl Enumerator {
     /// `black_box` it.
     pub fn prefault(&self) -> u64 {
         let mut acc = 0u64;
-        for plan in &self.plans {
+        for plan in self.plans.iter() {
             acc = acc.wrapping_add(plan.prefault());
         }
         acc
@@ -1739,7 +1752,7 @@ mod tests {
             None,
         );
         for plan in en.plans() {
-            for level in plan.levels.iter().flatten() {
+            for level in &plan.levels {
                 assert!(!level.eager_built, "0-limit must degrade to lazy");
                 assert!(level.degraded, "degradation must be recorded");
             }

@@ -132,10 +132,13 @@ pub struct ClauseReport {
     pub ek_cost: u64,
     /// Per large position: peak lazy-skip memo `(len, capacity)` across
     /// finished traversals (both 0 for eager levels or before any
-    /// enumeration ran) — the growth the memo amortization bounds.
+    /// enumeration ran) — the growth the memo amortization bounds. The
+    /// plans are shared by every engine of the same canonical query built
+    /// through one artifact cache, so this is the maximum over all of
+    /// their traversals.
     pub lazy_memo_peaks: Vec<(usize, usize)>,
     /// Peak forbidden-set interner `(len, id-map capacity)` across finished
-    /// traversals of this clause.
+    /// traversals of this clause, by every engine sharing its plan.
     pub vset_peak: (usize, usize),
 }
 
@@ -163,22 +166,11 @@ impl Engine {
                         .map(|p| ClauseReport {
                             list_sizes: p.list_sizes(),
                             strategies: p.strategies.clone(),
-                            skip_entries: p.levels.iter().flatten().map(|l| l.skip_entries()).sum(),
-                            eager_built: p.levels.iter().flatten().map(|l| l.eager_built).collect(),
-                            degraded: p.levels.iter().flatten().map(|l| l.degraded).collect(),
-                            ek_cost: p
-                                .levels
-                                .iter()
-                                .flatten()
-                                .map(|l| l.ek_cost)
-                                .next()
-                                .unwrap_or(0),
-                            lazy_memo_peaks: p
-                                .levels
-                                .iter()
-                                .flatten()
-                                .map(|l| l.lazy_memo_peak())
-                                .collect(),
+                            skip_entries: p.levels.iter().map(|l| l.skip_entries()).sum(),
+                            eager_built: p.levels.iter().map(|l| l.eager_built).collect(),
+                            degraded: p.levels.iter().map(|l| l.degraded).collect(),
+                            ek_cost: p.levels.first().map(|l| l.ek_cost).unwrap_or(0),
+                            lazy_memo_peaks: p.levels.iter().map(|l| l.lazy_memo_peak()).collect(),
                             vset_peak: p.vset_peak(),
                         })
                         .collect()
@@ -288,7 +280,8 @@ impl fmt::Display for Explain {
                     writeln!(
                         f,
                         "lazy memo peaks: {memo_len} entries (capacity {memo_cap}), \
-                         {vset_len} forbidden set(s) (capacity {vset_cap})"
+                         {vset_len} forbidden set(s) (capacity {vset_cap}), \
+                         over every engine sharing these plans"
                     )?;
                 }
                 writeln!(f, "build stages: {}", self.profile)?;

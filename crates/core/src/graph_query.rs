@@ -91,7 +91,7 @@ impl GraphQuery {
 /// identical either way.
 #[derive(Debug, Default)]
 pub struct PositionMemo {
-    map: Mutex<FxHashMap<Vec<RelId>, Arc<Vec<Node>>>>,
+    map: Mutex<FxHashMap<Vec<RelId>, Arc<[Node]>>>,
 }
 
 impl PositionMemo {
@@ -103,11 +103,11 @@ impl PositionMemo {
     /// The memoized `P(G)` list for `colors`, built on first use. The
     /// scan runs outside the lock; a concurrent first probe keeps the
     /// earlier insertion (both scans produce the identical list).
-    pub fn position_list(&self, graph: &Structure, colors: &[RelId]) -> Arc<Vec<Node>> {
+    pub fn position_list(&self, graph: &Structure, colors: &[RelId]) -> Arc<[Node]> {
         if let Some(hit) = self.map.lock().expect("memo poisoned").get(colors) {
             return Arc::clone(hit);
         }
-        let built = Arc::new(position_list(graph, colors));
+        let built: Arc<[Node]> = position_list(graph, colors).into();
         Arc::clone(
             self.map
                 .lock()

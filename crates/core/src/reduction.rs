@@ -49,7 +49,7 @@
 //! shape.
 
 use crate::artifacts::{ArtifactCache, Profiler, Stage};
-use crate::enumerate::EdgeAdjacency;
+use crate::enumerate::{ClausePlan as EnumPlan, EdgeAdjacency, SkipLimits, SkipMode};
 use crate::graph_query::{GraphClause, GraphQuery};
 use crate::EngineError;
 use lowdeg_index::{Epsilon, FxHashMap, FxHashSet, RadixFuncStore, SliceInterner};
@@ -59,7 +59,7 @@ use lowdeg_logic::{Formula, Query, Var};
 use lowdeg_par::{par_flat_map, par_map, par_partition, ParConfig};
 use lowdeg_storage::{GaifmanGraph, Node, RelId, Signature, Structure};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default budget for the type-combination table (`Σ_P Π_j |types|`).
 pub const DEFAULT_COMBINATION_BUDGET: u64 = 1_000_000;
@@ -220,25 +220,17 @@ pub struct Reduction {
     /// The query-independent Steps 3–4 products, possibly shared with an
     /// [`ArtifactCache`] and other engines over the same structure.
     core: Arc<ReductionCore>,
-    /// The reduced quantifier-free query `ψ` over `G`.
-    query: GraphQuery,
     /// Locality radius `r` of the matrix.
     radius: usize,
     /// `2r + 1` — the cluster-separation distance.
     two_r1: usize,
     /// The localized matrix (kept for diagnostics and tests).
     local: LocalQuery,
-    /// Accepted clause signatures for O(k) testing: per answer position the
-    /// packed `(ι, type)` of the cluster vertex ([`pack_signature`]; `0`
-    /// for the dummy). Probed with a stack-assembled `&[u64]`, so
-    /// [`Reduction::test_signature`] allocates nothing. Exactly one clause
-    /// matches any signature (clauses are mutually exclusive).
-    accepted: FxHashSet<Box<[u64]>>,
-    /// The packed signature of each reduced clause, aligned with
-    /// `query.clauses` — the key the per-clause combo-count tier of the
-    /// [`crate::CountingMemo`] probes (a signature determines its clause's
-    /// colors against this core, so the count is a pure function of it).
-    clause_sigs: Vec<Box<[u64]>>,
+    /// The Step 5 product — the reduced query `ψ`, its acceptance set and
+    /// clause signatures — shared with the [`ArtifactCache`] (and every
+    /// engine of the same canonical query) when the build went through
+    /// one, never copied.
+    product: Arc<Step5Product>,
 }
 
 /// A structural fingerprint of a built [`Reduction`] for differential
@@ -346,10 +338,10 @@ impl Reduction {
         };
 
         let reduce_started = std::time::Instant::now();
-        let (query_out, accepted, clause_sigs) = match (cache, query_fp) {
+        let product = match (cache, query_fp) {
             (Some(c), Some(fp)) => {
-                let product = c.step5_product(structure.fingerprint(), r, k, eps, fp, || {
-                    let (q, a, s) = match clause_fps {
+                c.step5_product(structure.fingerprint(), r, k, eps, fp, || {
+                    let output = match clause_fps {
                         // Defensive alignment check: the clause fingerprints
                         // come from `normalize`, the clause matrices from
                         // `localize`; both preserve the canonical top-level
@@ -369,30 +361,19 @@ impl Reduction {
                         }
                         _ => step5(&core, &local, query, budget, par)?,
                     };
-                    Ok(Step5Product {
-                        query: q,
-                        accepted: a,
-                        clause_sigs: s,
-                    })
-                })?;
-                (
-                    product.query.clone(),
-                    product.accepted.clone(),
-                    product.clause_sigs.clone(),
-                )
+                    Ok(Step5Product::new(output))
+                })?
             }
-            _ => step5(&core, &local, query, budget, par)?,
+            _ => Arc::new(Step5Product::new(step5(&core, &local, query, budget, par)?)),
         };
         profiler.add(Stage::Reduce, reduce_started.elapsed().as_nanos() as u64);
 
         Ok(Reduction {
             core,
-            query: query_out,
             radius: r,
             two_r1,
             local,
-            accepted,
-            clause_sigs,
+            product,
         })
     }
 
@@ -418,15 +399,13 @@ impl Reduction {
         let r = local.radius;
         let two_r1 = 2 * r + 1;
         let core = Arc::new(build_core_reference(structure, r, k, eps, par));
-        let (query_out, accepted, clause_sigs) = step5(&core, &local, query, budget, par)?;
+        let product = Arc::new(Step5Product::new(step5(&core, &local, query, budget, par)?));
         Ok(Reduction {
             core,
-            query: query_out,
             radius: r,
             two_r1,
             local,
-            accepted,
-            clause_sigs,
+            product,
         })
     }
 
@@ -560,12 +539,39 @@ impl Reduction {
     /// Packed acceptance signature of each graph clause, aligned with
     /// `self.query.clauses` — the key of the combo-count memo tier.
     pub(crate) fn clause_signatures(&self) -> &[Box<[u64]>] {
-        &self.clause_sigs
+        &self.product.clause_sigs
     }
 
     /// The reduced query `ψ`.
     pub fn query(&self) -> &GraphQuery {
-        &self.query
+        &self.product.query
+    }
+
+    /// The enumeration plans of [`Self::query`] under `mode` and `limits`:
+    /// the ones the Step 5 product already holds when they were built
+    /// under the same settings, otherwise `build`'s. The first plans built
+    /// for a product are kept in it, so every later build of the same
+    /// canonical query through the [`ArtifactCache`] shares them; plans
+    /// built under other settings stay the caller's alone.
+    pub(crate) fn enumeration_plans(
+        &self,
+        mode: SkipMode,
+        limits: SkipLimits,
+        build: impl FnOnce() -> Arc<[EnumPlan]>,
+    ) -> Arc<[EnumPlan]> {
+        let slot = &self.product.plans;
+        if let Some((m, l, plans)) = slot.get() {
+            if (*m, *l) == (mode, limits) {
+                return Arc::clone(plans);
+            }
+            return build();
+        }
+        let built = build();
+        // A concurrent build of the same product may have filled the slot
+        // first; its plans are identical under equal settings, and under
+        // others this build's plans simply stay unshared.
+        let _ = slot.set((mode, limits, Arc::clone(&built)));
+        built
     }
 
     /// The locality radius `r` the reduction ran with.
@@ -620,7 +626,8 @@ impl Reduction {
             }
             mix(u64::MAX);
         }
-        let mut accepted: Vec<Vec<u64>> = self.accepted.iter().map(|s| s.to_vec()).collect();
+        let mut accepted: Vec<Vec<u64>> =
+            self.product.accepted.iter().map(|s| s.to_vec()).collect();
         accepted.sort_unstable();
         CoreDigest {
             tuples,
@@ -628,7 +635,7 @@ impl Reduction {
             graph_fingerprint: c.graph.fingerprint(),
             adjacency_hash,
             accepted,
-            clauses: self.query.clauses.len(),
+            clauses: self.product.query.clauses.len(),
         }
     }
 
@@ -781,6 +788,7 @@ impl Reduction {
     pub fn test_via_graph(&self, tuple: &[Node]) -> Result<bool, EngineError> {
         let v = self.forward(tuple)?;
         Ok(self
+            .product
             .query
             .accepts(&self.core.graph, &self.core.adjacency, &v))
     }
@@ -811,7 +819,7 @@ impl Reduction {
         for (s, &u) in sig_buf.iter_mut().zip(&v_buf[..k]) {
             *s = pack_signature(self.vertex_signature(u));
         }
-        Ok(self.accepted.contains(&sig_buf[..k]))
+        Ok(self.product.accepted.contains(&sig_buf[..k]))
     }
 }
 
@@ -820,15 +828,42 @@ impl Reduction {
 /// signatures aligned with the clause list.
 type Step5Output = (GraphQuery, FxHashSet<Box<[u64]>>, Vec<Box<[u64]>>);
 
-/// The cacheable form of a [`step5`] result. Deterministic given the core
-/// and the query, so the [`crate::ArtifactCache`] keys it by the core's
-/// cluster key plus the query's *normalized fingerprint* — every rewrite
-/// variant of one query shares the entry.
+/// The cacheable form of a [`step5`] result, plus the enumeration plans
+/// built from it. Deterministic given the core and the query, so the
+/// [`crate::ArtifactCache`] keys it by the core's cluster key plus the
+/// query's *normalized fingerprint* — every rewrite variant of one query
+/// shares the entry, and a [`Reduction`] holds it behind its `Arc`.
 #[derive(Debug)]
 pub(crate) struct Step5Product {
+    /// The reduced query `ψ`: the exclusive clauses of `ψ₂`.
     pub(crate) query: GraphQuery,
+    /// Accepted clause signatures for O(k) testing: per answer position
+    /// the packed `(ι, type)` of the cluster vertex ([`pack_signature`];
+    /// `0` for the dummy). Probed with a stack-assembled `&[u64]`, so
+    /// [`Reduction::test_signature`] allocates nothing. Exactly one clause
+    /// matches any signature (clauses are mutually exclusive).
     pub(crate) accepted: FxHashSet<Box<[u64]>>,
+    /// The packed signature of each reduced clause, aligned with
+    /// `query.clauses` — the key the per-clause combo-count tier of the
+    /// [`crate::CountingMemo`] probes (a signature determines its clause's
+    /// colors against this core, so the count is a pure function of it).
     pub(crate) clause_sigs: Vec<Box<[u64]>>,
+    /// The first enumeration plans built for `query`, with the skip mode
+    /// and cost gates they were built under (see
+    /// [`Reduction::enumeration_plans`]). The ε they depend on is part of
+    /// the cache key, and the adjacency and position lists are the core's.
+    plans: OnceLock<(SkipMode, SkipLimits, Arc<[EnumPlan]>)>,
+}
+
+impl Step5Product {
+    fn new((query, accepted, clause_sigs): Step5Output) -> Self {
+        Step5Product {
+            query,
+            accepted,
+            clause_sigs,
+            plans: OnceLock::new(),
+        }
+    }
 }
 
 /// The cacheable per-clause acceptance set: the packed signatures accepted

@@ -161,6 +161,12 @@ impl Structure {
             .get_or_init(|| GaifmanGraph::build_with(self, par))
     }
 
+    /// Whether this instance already holds its Gaifman graph (built or
+    /// adopted), so [`Structure::gaifman`] is a lookup.
+    pub fn has_gaifman(&self) -> bool {
+        self.gaifman.get().is_some()
+    }
+
     /// Seed the per-instance Gaifman cache with a graph built elsewhere
     /// (e.g. a cross-build artifact cache keyed by
     /// [`Structure::fingerprint`]). A no-op when this instance already
