@@ -5,6 +5,7 @@
 //! sharded parallel answer order. Plans built under one skip setting are
 //! never handed to a build under another.
 
+use lowdeg_core::enumerate::Strategy;
 use lowdeg_core::{ArtifactCache, Engine, EngineConfig, SkipMode};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
@@ -144,8 +145,12 @@ fn hit_builds_share_the_step5_product_and_plans() {
                 .unwrap()
                 .plans()
                 .iter()
-                .all(|p| p.levels.len() <= p.strategies.len()),
-            "{}: one level per Large position at most",
+                .all(|p| p.levels.len()
+                    == p.strategies
+                        .iter()
+                        .filter(|&&s| s == Strategy::Large)
+                        .count()),
+            "{}: exactly one level per Large position",
             case.name
         );
         // the priming engine may be gone: the cache entry keeps the plans
